@@ -1,7 +1,7 @@
 """Exact-arithmetic hypergraph polytopes, game cores, and the signed chain
 complexes of graph-indexed free constructions."""
 
-from .hypergraph import Hypergraph, EMPTY_HYPERGRAPH
+from .hypergraph import Hypergraph
 from .constructs import (
     Construct,
     FacePoset,

@@ -16,7 +16,6 @@ from .errors import (
     DisconnectedError,
     InputError,
     InvalidSplitError,
-    PropertyViolation,
 )
 from .hypergraph import Hypergraph, _popcount, _submasks, require_connected
 
@@ -76,13 +75,6 @@ class Construct:
 
     def decorations(self):
         return [n.decoration for n in self.nodes()]
-
-    def find(self, decoration: int):
-        """Node object carrying `decoration`, or None."""
-        for node in self.nodes():
-            if node.decoration == decoration:
-                return node
-        return None
 
     def to_json(self, h: Hypergraph) -> dict:
         return {
@@ -226,44 +218,101 @@ def _product(option_lists):
 
 
 def split(h: Hypergraph, c: Construct, node: int, x: int, y: int) -> Construct:
-    """Replace node `node` by `x` with new child `y`; validator-checked.
+    """Replace node `node` of the construct `c` by `x` with a new child `y`.
 
-    Children of the split node that touch a hyperedge meeting `y` (within
-    the component hypergraph the node lives in) move under `y`, the rest
-    stay under `x`.
+    The validity rule is local to the split node (Curien-Ivanovic-Obradovic,
+    "Syntactic aspects of hypergraph polytopes").  Let S be the node's
+    subtree union and take the components of S minus X, using only the
+    hyperedges that lie inside S minus X.  The split is valid iff Y lies
+    inside a single component K and every other component is the union of
+    one child subtree; the children that meet K move under Y, the rest stay
+    under X.  Because the children of a construct are the components of
+    S minus (X | Y), a hyperedge inside S minus X that misses Y lies inside
+    one child, so the second condition always holds and only K is computed.
+    Raises InvalidSplitError when Y meets more than one component.  The
+    whole-tree validator `is_construct` stays the oracle for this rule.
     """
     if x | y != node or x & y or x == 0 or y == 0:
         raise InputError("x, y must partition the node decoration")
-    if c.find(node) is None:
-        raise InputError("no node with the given decoration")
-    result = _split_below(h, h.ground_mask, c, node, x, y)
-    if not is_construct(h, result):
+    path = _path_to(c, node)
+    below = _split_local(_edges_meeting(h, path[-1]), path[-1], x, y)
+    if below is None:
         raise InvalidSplitError(
             f"splitting {h.labels_of(node)} into {h.labels_of(x)}|{h.labels_of(y)} "
             "does not yield a construct"
         )
-    return result
+    return _rebuild(path, below)
 
 
-def _split_below(h, scope, c, node, x, y):
-    if c.decoration == node:
-        local_edges = [m for m in h.edges if not (m & ~scope)]
-        under_y, under_x = [], []
-        for child in c.children:
-            u = child.subtree_union
-            if any(m & u and m & y for m in local_edges):
-                under_y.append(child)
-            else:
-                under_x.append(child)
-        return Construct(x, under_x + [Construct(y, under_y)])
-    for i, child in enumerate(c.children):
-        if child.subtree_union & node == node:
-            sub_scope = child.subtree_union
-            new_child = _split_below(h, sub_scope, c.children[i], node, x, y)
-            children = list(c.children)
-            children[i] = new_child
-            return Construct(c.decoration, children)
-    raise InputError("no node with the given decoration")
+def node_splits(h: Hypergraph, c: Construct, node: int):
+    """Yield (x, y, face) for every valid split of the node `node` of `c`.
+
+    Parent blocks x run over the proper nonempty submasks of the node in
+    descending order; each face is what `split(h, c, node, x, y)` returns.
+    """
+    path = _path_to(c, node)
+    target = path[-1]
+    edges = _edges_meeting(h, target)
+    for x in _submasks(node):
+        y = node ^ x
+        if y:
+            below = _split_local(edges, target, x, y)
+            if below is not None:
+                yield x, y, _rebuild(path, below)
+
+
+def _path_to(c: Construct, node: int) -> list:
+    """Nodes from the root of `c` down to the node decorated `node`."""
+    path = [c]
+    while path[-1].decoration != node:
+        for child in path[-1].children:
+            if child.subtree_union & node == node:
+                path.append(child)
+                break
+        else:
+            raise InputError("no node with the given decoration")
+    return path
+
+
+def _edges_meeting(h: Hypergraph, target: Construct) -> list:
+    """Hyperedges inside the subtree union of `target` that meet its decoration."""
+    scope = target.subtree_union
+    return [m for m in h.edges if m & target.decoration and not m & ~scope]
+
+
+def _split_local(edges, target: Construct, x: int, y: int):
+    """Subtree replacing `target` after splitting it into x | y, or None.
+
+    Grows the component K of y's lowest vertex inside S minus x.  Hyperedges
+    that miss the decoration lie inside one child and each child is
+    connected, so the hyperedges in `edges` that avoid x together with the
+    child subtree unions connect exactly what the restriction to S minus x
+    connects."""
+    links = [m for m in edges if not m & x]
+    links += [child.subtree_union for child in target.children]
+    reached = y & -y
+    while True:
+        grown = reached
+        for m in links:
+            if m & grown:
+                grown |= m
+        if grown == reached:
+            break
+        reached = grown
+    if y & ~reached:
+        return None
+    under_x, under_y = [], []
+    for child in target.children:
+        (under_y if child.subtree_union & reached else under_x).append(child)
+    return Construct(x, under_x + [Construct(y, under_y)])
+
+
+def _rebuild(path: list, below: Construct) -> Construct:
+    """The tree of `path[0]` with the node `path[-1]` replaced by `below`."""
+    for parent, old in zip(reversed(path[:-1]), reversed(path[1:])):
+        children = [below if child is old else child for child in parent.children]
+        below = Construct(parent.decoration, children)
+    return below
 
 
 def collapse(c: Construct, child_decoration: int) -> Construct:
@@ -296,16 +345,8 @@ def covers_of(h: Hypergraph, c: Construct) -> list:
     """Constructs covered by `c`: every valid single split, each once."""
     out = []
     for node in c.decorations():
-        if _popcount(node) < 2:
-            continue
-        for x in _submasks(node):
-            y = node & ~x
-            if x == 0 or y == 0:
-                continue
-            try:
-                out.append(split(h, c, node, x, y))
-            except InvalidSplitError:
-                continue
+        if _popcount(node) >= 2:
+            out.extend(face for _, _, face in node_splits(h, c, node))
     return out
 
 
@@ -432,9 +473,3 @@ def check_diamond(h: Hypergraph, poset: FacePoset | None = None):
                         witness = (poset.faces[i], poset.faces[d], sorted(middle))
                         return False, witness
     return True, None
-
-
-def assert_diamond(h: Hypergraph, poset: FacePoset | None = None):
-    ok, witness = check_diamond(h, poset)
-    if not ok:
-        raise PropertyViolation("diamond property fails", witness)

@@ -78,6 +78,8 @@ def additive_game(ground) -> CooperativeGame:
 def game_from_json(data, ground) -> CooperativeGame:
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise InputError("game JSON must be an object")
     kind = data.get("type")
     if kind in ("pow3", "loday"):
         return builtin_game(kind, ground)
@@ -85,15 +87,21 @@ def game_from_json(data, ground) -> CooperativeGame:
         raise InputError(f"unknown game type {kind!r}")
     ground = tuple(ground)
     pos = {v: i for i, v in enumerate(ground)}
+    table = data.get("values")
+    if not isinstance(table, dict):
+        raise InputError("a table game needs a 'values' object")
     values = {}
-    for key, val in data["values"].items():
+    for key, val in table.items():
         labels = [k for k in key.split(",") if k]
         mask = 0
         for lab in labels:
             if lab not in pos:
                 raise InputError(f"unknown player {lab!r} in game table")
             mask |= 1 << pos[lab]
-        values[mask] = Fraction(val)
+        try:
+            values[mask] = Fraction(val)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"game value {val!r} of {key!r} is not a number") from None
     return CooperativeGame(ground, values)
 
 

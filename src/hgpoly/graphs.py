@@ -183,9 +183,14 @@ class Graph:
             data = json.loads(data)
         try:
             vertices = data["vertices"]
+            if not isinstance(vertices, list):
+                raise ValidationError("graph JSON 'vertices' must be a list")
             flags = [data["flags"][v] for v in vertices]
             involution = {}
-            for f, g in data.get("involution", []):
+            for pair in data.get("involution", []):
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ValidationError(f"involution entry {pair!r} is not a flag pair")
+                f, g = pair
                 involution[f] = g
                 involution[g] = f
             legs = data.get("legs", [])
@@ -622,6 +627,7 @@ def _alpha(g: Graph, h: Hypergraph, c: Construct) -> GraphTree:
 
 
 def _translate(c: Construct, from_h: Hypergraph, to_h: Hypergraph) -> Construct:
+    """The same tree over `to_h`, decorations matched by vertex label."""
     dec = to_h.mask_of(from_h.labels_of(c.decoration))
     return Construct(dec, [_translate(ch, from_h, to_h) for ch in c.children])
 

@@ -1,16 +1,19 @@
 """Exact chain-complex verification and rational Betti numbers.
 
-Boundary matrices are exact rationals; ranks come from fraction-free
-Gaussian elimination over the integers with deterministic pivoting (first
-nonzero row in basis order), so intermediate dumps are reproducible.
+Boundary matrices are integer matrices (entries 0 and +-1 for the construct
+complexes); ranks come from fraction-free Gaussian elimination over the
+integers with deterministic pivoting (first nonzero row in basis order), so
+intermediate dumps are reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import compress
+from math import lcm
+from numbers import Rational
 
-from .errors import InputError, PropertyViolation, ValidationError
+from .errors import InputError, ValidationError
 
 
 class ChainComplex:
@@ -18,15 +21,14 @@ class ChainComplex:
 
     `matrices[k]` maps grade k to grade k-1 and has shape
     len(bases[k-1]) x len(bases[k]); grade 0 has no outgoing boundary.
+    Entries are kept as given and must be exact numbers (int or Fraction).
     """
 
     __slots__ = ("bases", "matrices", "tag")
 
     def __init__(self, bases, matrices, tag=None):
         self.bases = [list(b) for b in bases]
-        self.matrices = [
-            [[Fraction(x) for x in row] for row in mat] for mat in matrices
-        ]
+        self.matrices = [[list(row) for row in mat] for mat in matrices]
         self.tag = tag or {}
         if len(self.matrices) != max(len(self.bases) - 1, 0):
             raise ValidationError("one boundary matrix per positive grade")
@@ -35,6 +37,11 @@ class ChainComplex:
             cols = len(self.bases[k])
             if len(mat) != rows or any(len(r) != cols for r in mat):
                 raise ValidationError(f"matrix shape mismatch in grade {k}")
+            kinds = set()
+            for row in mat:
+                kinds.update(map(type, row))
+            if not all(issubclass(t, Rational) for t in kinds):
+                raise ValidationError(f"inexact matrix entry in grade {k}")
 
     def dims(self):
         return [len(b) for b in self.bases]
@@ -72,28 +79,22 @@ class ChainComplex:
 def _column_sparse(matrix):
     cols = [{} for _ in range(len(matrix[0]) if matrix else 0)]
     for i, row in enumerate(matrix):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
+        for j in compress(range(len(row)), row):
+            cols[j][i] = row[j]
     return cols
 
 
 def verify_complex(c: ChainComplex) -> bool:
     """All composites of consecutive boundaries are exactly zero."""
     for k in range(1, len(c.matrices)):
-        lower = c.matrices[k - 1]
-        upper = c.matrices[k]
-        if not lower or not upper or not upper[0]:
+        if not c.matrices[k - 1]:
             continue
-        lower_cols = _column_sparse(lower)
-        for j in range(len(upper[0])):
+        lower_cols = _column_sparse(c.matrices[k - 1])
+        for column in _column_sparse(c.matrices[k]):
             acc = {}
-            for t in range(len(upper)):
-                u = upper[t][j]
-                if not u:
-                    continue
+            for t, u in column.items():
                 for i, v in lower_cols[t].items():
-                    acc[i] = acc.get(i, Fraction(0)) + u * v
+                    acc[i] = acc.get(i, 0) + u * v
             if any(acc.values()):
                 return False
     return True
@@ -107,13 +108,7 @@ def exact_rank(matrix) -> int:
     the one-step divisions stay exact."""
     if not matrix or not matrix[0]:
         return 0
-    rows = []
-    for row in matrix:
-        denom = 1
-        for x in row:
-            d = Fraction(x).denominator
-            denom = denom * d // gcd(denom, d)
-        rows.append({j: int(Fraction(x) * denom) for j, x in enumerate(row) if x})
+    rows = [_integer_row(row) for row in matrix]
     rank = 0
     prev_pivot = 1
     ncols = len(matrix[0])
@@ -148,6 +143,16 @@ def exact_rank(matrix) -> int:
         prev_pivot = pivot
         rank += 1
     return rank
+
+
+def _integer_row(row) -> dict:
+    """Sparse row scaled to integers; denominators are cleared only for
+    rows holding nonzero entries that are not `int`."""
+    sparse = {j: row[j] for j in compress(range(len(row)), row)}
+    if all(type(x) is int for x in sparse.values()):
+        return sparse
+    denom = lcm(*(Fraction(x).denominator for x in sparse.values()))
+    return {j: int(Fraction(x) * denom) for j, x in sparse.items()}
 
 
 def betti(c: ChainComplex) -> tuple:
@@ -190,9 +195,3 @@ def diamond_sign_check(poset, signs):
                     if total != 0:
                         return False, (i, a, b, d)
     return True, None
-
-
-def assert_acyclic_in_positive_degrees(c: ChainComplex):
-    numbers = betti(c)
-    if numbers[0] != 1 or any(x != 0 for x in numbers[1:]):
-        raise PropertyViolation(f"betti numbers {numbers} are not (1,0,...,0)")

@@ -16,7 +16,7 @@ MAX_VERTICES = 20
 
 
 def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def _submasks(mask: int):
@@ -75,7 +75,7 @@ class Hypergraph:
         for lab in labels:
             try:
                 mask |= 1 << self._pos[lab]
-            except KeyError:
+            except (KeyError, TypeError):
                 raise InputError(f"unknown vertex {lab!r}") from None
         return mask
 
@@ -233,10 +233,14 @@ class Hypergraph:
             hyperedges = data["hyperedges"]
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"hypergraph JSON missing field: {exc}") from None
+        if not isinstance(vertices, list) or not isinstance(hyperedges, list):
+            raise ValidationError("hypergraph JSON 'vertices' and 'hyperedges' must be lists")
+        for v in vertices:
+            if not isinstance(v, (str, int, float)):
+                raise ValidationError(f"vertex label {v!r} is not a string or number")
+        if not all(isinstance(e, list) for e in hyperedges):
+            raise ValidationError("every hyperedge must be a list of vertex labels")
         return cls(vertices, hyperedges)
-
-
-EMPTY_HYPERGRAPH = Hypergraph((), ())
 
 
 def require_connected(h: Hypergraph):

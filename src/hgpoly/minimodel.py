@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .constructs import Construct, enumerate_constructs, _count_nodes, _submasks
 from .errors import CompatibilityError, InputError
-from .graphs import Graph, canonical_contraction, incidence_hypergraph
+from .graphs import Graph, _translate, canonical_contraction, incidence_hypergraph
 from .hypergraph import Hypergraph, _popcount
 from . import constructs as _constructs
 
@@ -253,15 +253,8 @@ def boundary_of_basis(h: Hypergraph, c: Construct, convention: SignConvention):
     out = []
     prefix = 0
     for i, (node, deg) in enumerate(facs):
-        if _popcount(node) >= 2:
-            for x in _submasks(node):
-                y = node & ~x
-                if x == 0 or y == 0:
-                    continue
-                try:
-                    face = _constructs.split(h, c, node, x, y)
-                except _constructs.InvalidSplitError:
-                    continue
+        if deg >= 1:
+            for x, y, face in _constructs.node_splits(h, c, node):
                 sign = -1 if prefix % 2 else 1
                 sign *= convention.generator_sign(_popcount(x))
                 sign *= _mask_shuffle_sign(node, x, y)
@@ -306,19 +299,25 @@ def boundary_matrix(
 ):
     """Matrix of the grade-k differential in the canonical basis order.
 
-    Rows are indexed by grade k-1, columns by grade k; entries are exact
-    rationals (in fact always 0 or +-1)."""
+    Rows are indexed by grade k-1, columns by grade k; entries are the
+    integers 0 and +-1."""
     h, grades = basis_by_grade(g)
     if not 1 <= k <= len(grades) - 1:
         raise InputError(f"degree {k} outside 1..{len(grades) - 1}")
     rows = grades[k - 1]
     cols = grades[k]
+    return rows, cols, grade_matrix(h, rows, cols, convention)
+
+
+def grade_matrix(h: Hypergraph, rows, cols, convention: SignConvention) -> list:
+    """Row-major integer matrix of the boundary from the basis `cols` to
+    the basis `rows`, one `boundary_of_basis` call per column."""
     row_index = {c: i for i, c in enumerate(rows)}
-    matrix = [[Fraction(0)] * len(cols) for _ in rows]
+    matrix = [[0] * len(cols) for _ in rows]
     for j, c in enumerate(cols):
         for face, sign in boundary_of_basis(h, c, convention):
-            matrix[row_index[face]][j] = Fraction(sign)
-    return rows, cols, matrix
+            matrix[row_index[face]][j] = sign
+    return matrix
 
 
 def rho(x: FreeComponent) -> Fraction:
@@ -369,7 +368,7 @@ def graft_chain(
         out = FreeComponent(ambient)
         amb_h = incidence_hypergraph(ambient)
         for d, dv in r.coeffs.items():
-            lifted = _translate_names(d, r.hypergraph, amb_h)
+            lifted = _translate(d, r.hypergraph, amb_h)
             out = out.plus(FreeComponent(ambient, {lifted: dv * scalar}, amb_h))
         return out
     if s.graph != cc.quotient:
@@ -381,7 +380,7 @@ def graft_chain(
     for c, cv in s.coeffs.items():
         lifted_c = _translate_pairs(c, s.hypergraph, s.graph, ambient, amb_h)
         for d, dv in r.coeffs.items():
-            lifted_d = _translate_names(d, r.hypergraph, amb_h)
+            lifted_d = _translate(d, r.hypergraph, amb_h)
             path = _owner_path(lifted_c, ambient, amb_h, cc.quotient, target_vertex)
             grafted = _attach(lifted_c, path, lifted_d)
             arrangement = [
@@ -390,11 +389,6 @@ def graft_chain(
             sign = _koszul_sort_sign(arrangement, _graded_factors(grafted))
             out_coeffs[grafted] = out_coeffs.get(grafted, Fraction(0)) + cv * dv * sign
     return FreeComponent(ambient, out_coeffs, amb_h)
-
-
-def _translate_names(c: Construct, from_h: Hypergraph, to_h: Hypergraph) -> Construct:
-    dec = to_h.mask_of(from_h.labels_of(c.decoration))
-    return Construct(dec, [_translate_names(ch, from_h, to_h) for ch in c.children])
 
 
 def _translate_pairs(

@@ -2,39 +2,35 @@
 
 from __future__ import annotations
 
-from .constructs import face_poset
+from .constructs import face_poset, format_construct
 from .graphs import Graph, incidence_hypergraph
 from .homology import ChainComplex, betti, verify_complex
 from .minimodel import (
     DEFAULT_CONVENTION,
     SignConvention,
     basis_by_grade,
-    boundary_matrix,
+    boundary_of_basis,
+    grade_matrix,
 )
 
 
 def complex_for_graph(
     g: Graph, convention: SignConvention = DEFAULT_CONVENTION, name=None
 ) -> ChainComplex:
-    """Chain complex of the construct basis of a graph, canonical order."""
+    """Chain complex of the construct basis of a graph, canonical order.
+
+    The constructs are enumerated once; every grade's matrix is filled from
+    that one basis."""
     h, grades = basis_by_grade(g)
-    bases = []
-    for k, grade in enumerate(grades):
-        bases.append([_label(c, h) for c in grade])
-    matrices = []
-    for k in range(1, len(grades)):
-        _, _, mat = boundary_matrix(g, k, convention)
-        matrices.append(mat)
+    bases = [[format_construct(c, h) for c in grade] for grade in grades]
+    matrices = [
+        grade_matrix(h, grades[k - 1], grades[k], convention)
+        for k in range(1, len(grades))
+    ]
     tag = {"sign_convention": convention.name}
     if name:
         tag["graph"] = name
     return ChainComplex(bases, matrices, tag)
-
-
-def _label(c, h):
-    from .constructs import format_construct
-
-    return format_construct(c, h)
 
 
 def homology_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
@@ -53,8 +49,6 @@ def homology_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
 def cover_signs(g: Graph, convention=DEFAULT_CONVENTION):
     """Face poset of the incidence hypergraph together with the +-1 sign of
     every construct covering pair, read off the boundary."""
-    from .minimodel import boundary_of_basis
-
     h = incidence_hypergraph(g)
     poset = face_poset(h)
     signs = {}

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -337,3 +338,68 @@ def test_format_and_json_roundtrip():
     assert format_construct(c, H3P) == "{a}{{c}{{b}}}"
     again = Construct.from_json(c.to_json(H3P), H3P)
     assert again == c
+
+
+# -- covers against one-step collapses ------------------------------------------
+
+
+def random_small_hypergraph(rng):
+    """Connected hypergraph on 5 or 6 shuffled vertices whose non-singleton
+    hyperedges have 2 or 3 elements."""
+    n = rng.choice([5, 6])
+    labels = [f"p{i}" for i in range(n)]
+    rng.shuffle(labels)
+    while True:
+        edges = [[v] for v in labels]
+        for _ in range(rng.randint(2, n)):
+            edges.append(rng.sample(labels, rng.choice([2, 3])))
+        h = Hypergraph(labels, edges, auto_singletons=False)
+        if h.is_connected():
+            return h
+
+
+def assert_covers_are_one_step_collapses(h):
+    faces = enumerate_constructs(h)
+    collapses_to = {c: set() for c in faces}
+    for d in faces:
+        for node in d.nodes():
+            if node is not d:
+                collapses_to[collapse(d, node.decoration)].add(d)
+    for c in faces:
+        covers = covers_of(h, c)
+        assert len(covers) == len(set(covers))
+        assert set(covers) == collapses_to[c], (h, c)
+        assert all(is_construct(h, face) for face in covers)
+
+
+def test_covers_equal_one_step_collapses_on_three_element_hyperedges():
+    h = Hypergraph(
+        ["p3", "p0", "p2", "p4", "p1"],
+        [["p3"], ["p0"], ["p2"], ["p4"], ["p1"], ["p3", "p0", "p4"], ["p2", "p4", "p1"]],
+        auto_singletons=False,
+    )
+    c = C(h, (["p3", "p0"], [(["p2", "p4", "p1"], [])]))
+    assert C(h, (["p0"], [(["p3"], []), (["p2", "p4", "p1"], [])])) in covers_of(h, c)
+    assert_covers_are_one_step_collapses(h)
+
+
+def test_covers_equal_one_step_collapses_on_corpus(hypergraphs):
+    for h in hypergraphs.values():
+        assert_covers_are_one_step_collapses(h)
+
+
+def test_covers_equal_one_step_collapses_on_fuzz_graphs():
+    from test_fuzz import random_graph
+    from hgpoly.graphs import incidence_hypergraph
+
+    rng = random.Random(60902)
+    for _ in range(20):
+        g = random_graph(rng)
+        if len(g.edges) <= 5:
+            assert_covers_are_one_step_collapses(incidence_hypergraph(g))
+
+
+def test_covers_equal_one_step_collapses_on_random_hypergraphs():
+    rng = random.Random(2019)
+    for _ in range(16):
+        assert_covers_are_one_step_collapses(random_small_hypergraph(rng))

@@ -65,6 +65,24 @@ def test_exact_rank_matches_oracle_random():
         assert exact_rank(mat) == rank_oracle(mat)
 
 
+def test_exact_rank_matches_oracle_random_integer():
+    rng = random.Random(4242)
+    for _ in range(80):
+        rows = rng.randint(1, 8)
+        cols = rng.randint(1, 8)
+        density = rng.choice([0.2, 0.5, 0.9])
+        mat = [
+            [rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        assert exact_rank(mat) == rank_oracle(mat)
+
+
+def test_exact_rank_mixes_int_and_rational_rows():
+    mat = [[2, 4, 0], [Fraction(1, 2), 1, Fraction(1, 3)], [1, 2, 0]]
+    assert exact_rank(mat) == rank_oracle(mat) == 2
+
+
 def test_exact_rank_matches_oracle_on_boundaries(graphs):
     for name in ("theta", "line4", "star4"):
         c = complex_for_graph(graphs[name])
@@ -103,6 +121,19 @@ def test_single_grade_complex():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValidationError):
         ChainComplex([["x"], ["y"]], [[[1], [1]]])
+
+
+def test_inexact_entries_rejected():
+    with pytest.raises(ValidationError):
+        ChainComplex([["x"], ["y"]], [[[1.0]]])
+    ChainComplex([["x"], ["y"]], [[[Fraction(1, 2)]]])
+
+
+def test_complex_for_graph_entries_are_int(graphs):
+    for name in ("line3", "theta", "line4", "star4", "multiloop"):
+        c = complex_for_graph(graphs[name])
+        for mat in c.matrices:
+            assert all(type(x) is int and x in (-1, 0, 1) for row in mat for x in row)
 
 
 def test_euler_poincare(graphs):
