@@ -15,16 +15,10 @@ from pathlib import Path
 from . import constructs as _constructs
 from . import games as _games
 from .errors import InputError, PropertyViolation
-from .graphs import (
-    Graph,
-    alpha,
-    alpha_inv,
-    incidence_hypergraph,
-)
-from .homology import betti, diamond_sign_check, verify_complex
+from .graphs import Graph, alpha, incidence_hypergraph
 from .hypergraph import Hypergraph
-from .minimodel import SignConvention, boundary_of_basis
-from .pipeline import complex_for_graph, cover_signs, homology_report
+from .minimodel import SignConvention
+from .pipeline import check_report, complex_for_graph, homology_report
 from .variants import GenusGrading, Orientation, classify
 
 USAGE_EXIT = 64
@@ -232,62 +226,7 @@ def _model_homology(args):
 
 def _model_check(args):
     g, _ = _load_graph(args.input)
-    convention = _convention(args)
-    h = incidence_hypergraph(g)
-
-    complex_ = complex_for_graph(g, convention)
-    if not verify_complex(complex_):
-        raise PropertyViolation("d^2 != 0", {"graph": args.input})
-
-    for c in _constructs.enumerate_constructs(h):
-        terms = boundary_of_basis(h, c, convention)
-        support = {face for face, _ in terms}
-        expected = set(_constructs.covers_of(h, c))
-        if support != expected:
-            raise PropertyViolation(
-                "boundary support differs from the covered faces",
-                {"construct": c.to_json(h)},
-            )
-        if any(sign not in (1, -1) for _, sign in terms):
-            raise PropertyViolation(
-                "boundary coefficient outside {-1,+1}", {"construct": c.to_json(h)}
-            )
-        if len(support) != len(terms):
-            raise PropertyViolation(
-                "a covered face appears twice", {"construct": c.to_json(h)}
-            )
-
-    poset, signs = cover_signs(g, convention)
-    ok, witness = diamond_sign_check(poset, signs)
-    if not ok:
-        raise PropertyViolation("diamond sign relation fails", witness)
-
-    from .minimodel import FreeComponent, boundary, rho
-
-    for c in _constructs.enumerate_constructs(h):
-        if len(h) - c.num_nodes() == 1:
-            if rho(boundary(FreeComponent.basis(g, c), convention)) != 0:
-                raise PropertyViolation(
-                    "augmentation does not kill the boundary",
-                    {"construct": c.to_json(h)},
-                )
-
-    for c in _constructs.enumerate_constructs(h):
-        if alpha_inv(alpha(g, c), g) != c:
-            raise PropertyViolation(
-                "construct/graph-tree roundtrip fails", {"construct": c.to_json(h)}
-            )
-
-    _emit(
-        {
-            "d_squared_zero": True,
-            "support_plus_minus_one": True,
-            "diamond_signs": True,
-            "chain_map": True,
-            "alpha_roundtrip": True,
-            "betti": list(betti(complex_)),
-        }
-    )
+    _emit(check_report(g, _convention(args), name=args.input))
     return 0
 
 

@@ -17,7 +17,7 @@ from .errors import (
     InputError,
     InvalidSplitError,
 )
-from .hypergraph import Hypergraph, _popcount, _submasks, require_connected
+from .hypergraph import Hypergraph, _closure, _popcount, _submasks, require_connected
 
 DEFAULT_MAX_FACES = 200_000
 
@@ -145,32 +145,13 @@ def _valid_on(h: Hypergraph, mask: int, c: Construct) -> bool:
     rest = mask & ~c.decoration
     if rest == 0:
         return not c.children
-    comps = _component_masks_within(h, rest)
+    comps = h.component_masks(rest)
     if len(comps) != len(c.children):
         return False
     by_union = {child.subtree_union: child for child in c.children}
     if set(by_union) != set(comps):
         return False
     return all(_valid_on(h, comp, by_union[comp]) for comp in comps)
-
-
-def _component_masks_within(h: Hypergraph, scope: int) -> tuple:
-    inner = [m for m in h.edges if not (m & ~scope)]
-    remaining = scope
-    out = []
-    while remaining:
-        reached = remaining & -remaining
-        while True:
-            grown = reached
-            for m in inner:
-                if m & reached:
-                    grown |= m
-            if grown == reached:
-                break
-            reached = grown
-        out.append(reached)
-        remaining &= ~reached
-    return tuple(sorted(out, key=lambda m: m & -m))
 
 
 def rank(c: Construct, h: Hypergraph) -> int:
@@ -196,7 +177,7 @@ def _enumerate_on(h: Hypergraph, mask: int, cache: dict) -> list:
         if rest == 0:
             result.append(Construct(x))
             continue
-        comps = _component_masks_within(h, rest)
+        comps = h.component_masks(rest)
         options = [_enumerate_on(h, comp, cache) for comp in comps]
         for combo in _product(options):
             result.append(Construct(x, combo))
@@ -290,15 +271,7 @@ def _split_local(edges, target: Construct, x: int, y: int):
     connects."""
     links = [m for m in edges if not m & x]
     links += [child.subtree_union for child in target.children]
-    reached = y & -y
-    while True:
-        grown = reached
-        for m in links:
-            if m & grown:
-                grown |= m
-        if grown == reached:
-            break
-        reached = grown
+    reached = _closure(links, y & -y)
     if y & ~reached:
         return None
     under_x, under_y = [], []

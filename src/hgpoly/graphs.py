@@ -19,7 +19,7 @@ from .errors import (
     InputError,
     ValidationError,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _closure
 
 
 @dataclass(frozen=True)
@@ -108,21 +108,9 @@ class Graph:
         )
 
     def _is_realization_connected(self):
-        if not self.vertices:
-            return False
-        index = {v: i for i, v in enumerate(self.vertices)}
-        parent = list(range(len(self.vertices)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for e in self.edges:
-            a, b = (index[v] for v in e.ends)
-            parent[find(a)] = find(b)
-        return len({find(i) for i in range(len(self.vertices))}) == 1
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        links = [bit[a] | bit[b] for a, b in (e.ends for e in self.edges)]
+        return bool(bit) and _closure(links, 1) == (1 << len(bit)) - 1
 
     # -- accessors ----------------------------------------------------------
 
@@ -186,17 +174,24 @@ class Graph:
             if not isinstance(vertices, list):
                 raise ValidationError("graph JSON 'vertices' must be a list")
             flags = [data["flags"][v] for v in vertices]
+            legs = data.get("legs", [])
+            for labels in flags + [legs]:
+                if not _is_label_list(labels):
+                    raise ValidationError(f"flag labels {labels!r} are not a list of strings")
             involution = {}
             for pair in data.get("involution", []):
-                if not isinstance(pair, list) or len(pair) != 2:
+                if not _is_label_list(pair) or len(pair) != 2:
                     raise ValidationError(f"involution entry {pair!r} is not a flag pair")
                 f, g = pair
                 involution[f] = g
                 involution[g] = f
-            legs = data.get("legs", [])
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"graph JSON missing field: {exc}") from None
         return cls(vertices, flags, involution, legs)
+
+
+def _is_label_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def validate_graph(data) -> Graph:
@@ -249,20 +244,9 @@ def subgraph_from_edges(g: Graph, edge_names) -> Graph:
 
 
 def _edges_connected(edges) -> bool:
-    remaining = list(edges)
-    reached = {remaining[0]}
-    touched = set(remaining[0].vertex_set())
-    grown = True
-    while grown:
-        grown = False
-        for e in remaining:
-            if e in reached:
-                continue
-            if e.vertex_set() & touched:
-                reached.add(e)
-                touched |= e.vertex_set()
-                grown = True
-    return len(reached) == len(remaining)
+    bit = {}
+    links = [sum(bit.setdefault(v, 1 << len(bit)) for v in e.vertex_set()) for e in edges]
+    return _closure(links, links[0]) == (1 << len(bit)) - 1
 
 
 @dataclass
@@ -659,7 +643,7 @@ def enumerate_graph_trees(g: Graph) -> list:
         x = sub
         sub = (sub - 1) & full
         rest = full & ~x
-        comps = _connected_pieces(h, rest)
+        comps = h.component_masks(rest)
         fiber_lists = []
         quotient = g
         for comp in comps:
@@ -675,12 +659,6 @@ def enumerate_graph_trees(g: Graph) -> list:
         for combo in combos:
             result.append(GraphTree(quotient, combo, g.vertices))
     return result
-
-
-def _connected_pieces(h: Hypergraph, scope: int):
-    from .constructs import _component_masks_within
-
-    return _component_masks_within(h, scope)
 
 
 def graph_tree_poset_le(t: GraphTree, s: GraphTree) -> bool:

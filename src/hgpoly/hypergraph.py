@@ -27,6 +27,19 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+def _closure(edges, seed: int) -> int:
+    """Vertices reached from `seed` through chains of meeting edges."""
+    reached = seed
+    while True:
+        grown = reached
+        for m in edges:
+            if m & grown:
+                grown |= m
+        if grown == reached:
+            return reached
+        reached = grown
+
+
 class Hypergraph:
     """An ordered vertex set together with a family of hyperedges.
 
@@ -107,18 +120,7 @@ class Hypergraph:
 
     def is_connected(self) -> bool:
         """No nontrivial bipartition of the vertices separates every edge."""
-        if not self.vertices:
-            return False
-        reached = 1
-        while True:
-            grown = reached
-            for m in self.edges:
-                if m & reached:
-                    grown |= m
-            if grown == reached:
-                break
-            reached = grown
-        return reached == self.ground_mask
+        return bool(self.vertices) and self._connected_within(self.ground_mask)
 
     def restriction(self, subset) -> "Hypergraph":
         """Sub-hypergraph on `subset` keeping the edges contained in it."""
@@ -152,17 +154,8 @@ class Hypergraph:
 
     def _connected_within(self, mask: int) -> bool:
         """Connectivity of the restriction to `mask`, without rebuilding it."""
-        inner = [m for m in self.edges if not (m & ~mask)]
-        reached = mask & -mask
-        while True:
-            grown = reached
-            for m in inner:
-                if m & reached:
-                    grown |= m
-            if grown == reached:
-                break
-            reached = grown
-        return reached == mask
+        inner = [m for m in self.edges if not m & ~mask]
+        return _closure(inner, mask & -mask) == mask
 
     def is_saturated(self) -> bool:
         """Closed under unions of intersecting hyperedges."""
@@ -179,25 +172,17 @@ class Hypergraph:
         masks = self.component_masks()
         return tuple(self.restriction(m) for m in masks)
 
-    def component_masks(self) -> tuple:
-        if not self.vertices:
-            return ()
-        remaining = self.ground_mask
+    def component_masks(self, scope=None) -> tuple:
+        """Vertex masks of the components of the restriction to `scope`
+        (default: every vertex), ordered by minimal vertex."""
+        remaining = self.ground_mask if scope is None else scope
+        inner = [m for m in self.edges if not m & ~remaining]
         out = []
         while remaining:
-            seed = remaining & -remaining
-            reached = seed
-            while True:
-                grown = reached
-                for m in self.edges:
-                    if m & reached and not (m & ~remaining):
-                        grown |= m
-                if grown == reached:
-                    break
-                reached = grown
+            reached = _closure(inner, remaining & -remaining)
             out.append(reached)
             remaining &= ~reached
-        return tuple(sorted(out, key=lambda m: m & -m))
+        return tuple(out)
 
     def minus(self, subset) -> "Hypergraph":
         """Truncate the saturated edges by `subset`; differs from `remove`."""

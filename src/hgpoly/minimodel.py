@@ -306,17 +306,26 @@ def boundary_matrix(
         raise InputError(f"degree {k} outside 1..{len(grades) - 1}")
     rows = grades[k - 1]
     cols = grades[k]
-    return rows, cols, grade_matrix(h, rows, cols, convention)
+    return rows, cols, row_major(grade_columns(h, rows, cols, convention), len(rows))
 
 
-def grade_matrix(h: Hypergraph, rows, cols, convention: SignConvention) -> list:
-    """Row-major integer matrix of the boundary from the basis `cols` to
-    the basis `rows`, one `boundary_of_basis` call per column."""
+def grade_columns(h: Hypergraph, rows, cols, convention: SignConvention) -> list:
+    """Boundary of each construct of `cols` as (row, sign) pairs indexing the
+    basis `rows`, one `boundary_of_basis` call per column; the covered faces
+    themselves are not kept."""
     row_index = {c: i for i, c in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
-    for j, c in enumerate(cols):
-        for face, sign in boundary_of_basis(h, c, convention):
-            matrix[row_index[face]][j] = sign
+    return [
+        [(row_index[face], sign) for face, sign in boundary_of_basis(h, c, convention)]
+        for c in cols
+    ]
+
+
+def row_major(columns, num_rows: int) -> list:
+    """Dense row-major matrix of a list of columns of (row, value) pairs."""
+    matrix = [[0] * len(columns) for _ in range(num_rows)]
+    for j, column in enumerate(columns):
+        for i, value in column:
+            matrix[i][j] = value
     return matrix
 
 

@@ -2,30 +2,40 @@
 
 from __future__ import annotations
 
-from .constructs import face_poset, format_construct
-from .graphs import Graph, incidence_hypergraph
-from .homology import ChainComplex, betti, verify_complex
+from .constructs import FacePoset, collapse, format_construct
+from .errors import InputError, PropertyViolation
+from .graphs import Graph, alpha, alpha_inv
+from .homology import ChainComplex, betti, diamond_sign_check
 from .minimodel import (
     DEFAULT_CONVENTION,
     SignConvention,
     basis_by_grade,
-    boundary_of_basis,
-    grade_matrix,
+    grade_columns,
+    row_major,
 )
 
 
-def complex_for_graph(
-    g: Graph, convention: SignConvention = DEFAULT_CONVENTION, name=None
-) -> ChainComplex:
-    """Chain complex of the construct basis of a graph, canonical order.
+def signed_covers(g: Graph, convention: SignConvention = DEFAULT_CONVENTION):
+    """The signed covering relation of the construct basis of a graph.
 
-    The constructs are enumerated once; every grade's matrix is filled from
-    that one basis."""
+    Returns (h, grades, columns): the incidence hypergraph, the constructs
+    grouped by grade in canonical order, and for every grade k >= 1 (at
+    `columns[k - 1]`) the boundary of each construct of grade k as (row,
+    sign) pairs indexing grade k - 1.  The constructs are enumerated once
+    and `boundary_of_basis` runs once per construct of positive grade."""
     h, grades = basis_by_grade(g)
+    columns = [
+        grade_columns(h, grades[k - 1], grades[k], convention)
+        for k in range(1, len(grades))
+    ]
+    return h, grades, columns
+
+
+def _complex(signed, convention, name=None) -> ChainComplex:
+    h, grades, columns = signed
     bases = [[format_construct(c, h) for c in grade] for grade in grades]
     matrices = [
-        grade_matrix(h, grades[k - 1], grades[k], convention)
-        for k in range(1, len(grades))
+        row_major(grade, len(grades[k])) for k, grade in enumerate(columns)
     ]
     tag = {"sign_convention": convention.name}
     if name:
@@ -33,28 +43,118 @@ def complex_for_graph(
     return ChainComplex(bases, matrices, tag)
 
 
+def complex_for_graph(
+    g: Graph, convention: SignConvention = DEFAULT_CONVENTION, name=None
+) -> ChainComplex:
+    """Chain complex of the construct basis of a graph, canonical order."""
+    return _complex(signed_covers(g, convention), convention, name)
+
+
+def _betti_or_none(complex_):
+    """Betti numbers, or None when d^2 != 0 (`betti` verifies first)."""
+    try:
+        return list(betti(complex_))
+    except InputError:
+        return None
+
+
 def homology_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
     complex_ = complex_for_graph(g, convention, name)
-    ok = verify_complex(complex_)
+    numbers = _betti_or_none(complex_)
     report = {
-        "betti": list(betti(complex_)) if ok else None,
+        "betti": numbers,
         "f_vector": list(complex_.f_vector()),
-        "d_squared_zero": ok,
+        "d_squared_zero": numbers is not None,
     }
     if name:
         report["graph"] = name
     return report
 
 
+def _poset_and_signs(signed):
+    h, grades, columns = signed
+    start = [0] * len(grades)
+    faces = []
+    for k in reversed(range(len(grades))):
+        start[k] = len(faces)
+        faces.extend(grades[k])
+    signs = {}
+    for k, grade in enumerate(columns, start=1):
+        for j, column in enumerate(grade):
+            for row, sign in column:
+                signs[(start[k - 1] + row, start[k] + j)] = sign
+    bottom = len(faces)
+    covers = list(signs) + [(bottom, start[0] + j) for j in range(len(grades[0]))]
+    return FacePoset(h, faces, sorted(covers)), signs
+
+
 def cover_signs(g: Graph, convention=DEFAULT_CONVENTION):
     """Face poset of the incidence hypergraph together with the +-1 sign of
     every construct covering pair, read off the boundary."""
-    h = incidence_hypergraph(g)
-    poset = face_poset(h)
-    signs = {}
-    for i, c in enumerate(poset.faces):
-        if poset.rank_of(i) < 1:
-            continue
-        for face, sign in boundary_of_basis(h, c, convention):
-            signs[(poset.index(face), i)] = sign
-    return poset, signs
+    return _poset_and_signs(signed_covers(g, convention))
+
+
+def check_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
+    """Every statement `model check` verifies, read off one signed pass:
+    d^2 = 0, distinct +-1 boundary terms whose support is exactly the
+    one-step collapses, the diamond signs, the augmentation as a chain map
+    (grade-1 column sums vanish) and the `alpha` round trip.  Raises
+    PropertyViolation with a witness on the first statement that fails."""
+    signed = signed_covers(g, convention)
+    h, grades, columns = signed
+    numbers = _betti_or_none(_complex(signed, convention))
+    if numbers is None:
+        raise PropertyViolation("d^2 != 0", {"graph": name})
+
+    for k, grade in enumerate(columns, start=1):
+        support = set()
+        for j, column in enumerate(grade):
+            rows = {row for row, _ in column}
+            if any(sign not in (1, -1) for _, sign in column):
+                problem = "boundary coefficient outside {-1,+1}"
+            elif len(rows) != len(column):
+                problem = "a covered face appears twice"
+            else:
+                support.update((row, j) for row in rows)
+                continue
+            raise PropertyViolation(problem, {"construct": grades[k][j].to_json(h)})
+        upper = {c: j for j, c in enumerate(grades[k])}
+        collapses = {
+            (i, upper[collapse(c, node.decoration)])
+            for i, c in enumerate(grades[k - 1])
+            for node in c.nodes()
+            if node is not c
+        }
+        if support != collapses:
+            j = min(j for _, j in support ^ collapses)
+            raise PropertyViolation(
+                "boundary support differs from the covered faces",
+                {"construct": grades[k][j].to_json(h)},
+            )
+
+    ok, witness = diamond_sign_check(*_poset_and_signs(signed))
+    if not ok:
+        raise PropertyViolation("diamond sign relation fails", witness)
+
+    for j, column in enumerate(columns[0] if columns else ()):
+        if sum(sign for _, sign in column):
+            raise PropertyViolation(
+                "augmentation does not kill the boundary",
+                {"construct": grades[1][j].to_json(h)},
+            )
+
+    for grade in reversed(grades):
+        for c in grade:
+            if alpha_inv(alpha(g, c), g) != c:
+                raise PropertyViolation(
+                    "construct/graph-tree roundtrip fails", {"construct": c.to_json(h)}
+                )
+
+    return {
+        "d_squared_zero": True,
+        "support_plus_minus_one": True,
+        "diamond_signs": True,
+        "chain_map": True,
+        "alpha_roundtrip": True,
+        "betti": numbers,
+    }

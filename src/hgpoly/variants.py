@@ -20,11 +20,12 @@ class GenusGrading:
 
     def __init__(self, graph: Graph, values):
         self.graph = graph
-        values = dict(values)
+        if not isinstance(values, dict):
+            raise InputError("vertex genera must map vertices to integers")
         for v in graph.vertices:
             if v not in values:
                 raise InputError(f"genus missing for vertex {v!r}")
-            if int(values[v]) < 0 or int(values[v]) != values[v]:
+            if not _is_nonnegative_integer(values[v]):
                 raise InputError("vertex genera must be nonnegative integers")
         self.values = {v: int(values[v]) for v in graph.vertices}
 
@@ -35,8 +36,18 @@ class GenusGrading:
     @classmethod
     def from_json(cls, graph: Graph, data) -> "GenusGrading":
         if isinstance(data, str):
-            data = json.loads(data)
+            try:
+                data = json.loads(data)
+            except json.JSONDecodeError:
+                raise InputError("vertex genera must map vertices to integers") from None
         return cls(graph, data)
+
+
+def _is_nonnegative_integer(value) -> bool:
+    try:
+        return int(value) == value >= 0
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def genus(g: Graph, grading: GenusGrading | None = None) -> int:

@@ -110,3 +110,14 @@ def test_fuzzed_contractions_and_leibniz():
         )
         assert lhs == rhs
         done += 1
+
+
+def test_cover_signs_poset_is_the_face_poset(graphs):
+    rng = random.Random(60902)
+    fuzzed = []
+    while len(fuzzed) < 30:
+        g = random_graph(rng)
+        if 1 <= len(g.edges) <= 5:
+            fuzzed.append(g)
+    for g in list(graphs.values()) + fuzzed:
+        assert cover_signs(g)[0].covers == face_poset(incidence_hypergraph(g)).covers
