@@ -9,8 +9,6 @@ of the face poset is a single edge collapse.
 
 from __future__ import annotations
 
-import json
-
 from .errors import (
     CapacityError,
     DisconnectedError,
@@ -84,8 +82,6 @@ class Construct:
 
     @classmethod
     def from_json(cls, data, h: Hypergraph) -> "Construct":
-        if isinstance(data, str):
-            data = json.loads(data)
         try:
             decoration = h.mask_of(data["decoration"])
             children = [cls.from_json(c, h) for c in data.get("children", [])]
@@ -358,6 +354,16 @@ class FacePoset:
     def lower_covers(self, i: int) -> tuple:
         return tuple(self._down[i])
 
+    def length_two_intervals(self):
+        """(i, a, b, tops) for every face i and every pair a, b of its upper
+        covers (a before b among the upper covers of i), with `tops` the
+        set of faces covering both a and b; the bottom face is skipped."""
+        for i in range(len(self.faces)):
+            ups = self._up[i]
+            for a_pos, a in enumerate(ups):
+                for b in ups[a_pos + 1 :]:
+                    yield i, a, b, set(self._up[a]) & set(self._up[b])
+
     def le(self, i: int, j: int) -> bool:
         if i == j:
             return True
@@ -431,18 +437,11 @@ def check_diamond(h: Hypergraph, poset: FacePoset | None = None):
     exactly C' and C'' strictly between.
     """
     poset = poset or face_poset(h)
-    n = len(poset.faces)
-    for i in range(n):
-        ups = poset.upper_covers(i)
-        for a_pos, a in enumerate(ups):
-            for b in ups[a_pos + 1 :]:
-                tops = set(poset.upper_covers(a)) & set(poset.upper_covers(b))
-                if not tops:
-                    witness = (poset.faces[i], poset.faces[a], poset.faces[b])
-                    return False, witness
-                for d in tops:
-                    middle = set(poset.lower_covers(d)) & set(poset.upper_covers(i))
-                    if middle != {a, b}:
-                        witness = (poset.faces[i], poset.faces[d], sorted(middle))
-                        return False, witness
+    for i, a, b, tops in poset.length_two_intervals():
+        if not tops:
+            return False, (poset.faces[i], poset.faces[a], poset.faces[b])
+        for d in tops:
+            middle = set(poset.lower_covers(d)) & set(poset.upper_covers(i))
+            if middle != {a, b}:
+                return False, (poset.faces[i], poset.faces[d], sorted(middle))
     return True, None

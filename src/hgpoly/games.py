@@ -8,7 +8,6 @@ verification contracts are zero-tolerance.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 
 from .constructs import Construct, enumerate_constructs, _count_nodes
@@ -76,8 +75,6 @@ def additive_game(ground) -> CooperativeGame:
 
 
 def game_from_json(data, ground) -> CooperativeGame:
-    if isinstance(data, str):
-        data = json.loads(data)
     if not isinstance(data, dict):
         raise InputError("game JSON must be an object")
     kind = data.get("type")

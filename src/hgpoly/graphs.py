@@ -9,7 +9,6 @@ edges are involution 2-cycles named by their globally smaller flag.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .constructs import Construct
@@ -114,9 +113,6 @@ class Graph:
 
     # -- accessors ----------------------------------------------------------
 
-    def flag_position(self, f: str) -> int:
-        return self._flag_pos[f]
-
     def vertex_of_flag(self, f: str) -> str:
         return self._flag_vertex[f]
 
@@ -167,8 +163,6 @@ class Graph:
 
     @classmethod
     def from_json(cls, data) -> "Graph":
-        if isinstance(data, str):
-            data = json.loads(data)
         try:
             vertices = data["vertices"]
             if not isinstance(vertices, list):
@@ -469,10 +463,6 @@ class GraphTree:
 
     def num_vertices(self) -> int:
         return 1 + sum(s.num_vertices() for _, s in self.children)
-
-    def leaves_here(self) -> tuple:
-        covered = {v for _, sub in self.children for v in sub.ground}
-        return tuple(v for v in self.ground if v not in covered)
 
     def to_json(self) -> dict:
         return {

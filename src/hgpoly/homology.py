@@ -1,15 +1,14 @@
 """Exact chain-complex verification and rational Betti numbers.
 
-Boundary matrices are integer matrices (entries 0 and +-1 for the construct
-complexes); ranks come from fraction-free Gaussian elimination over the
-integers with deterministic pivoting (first nonzero row in basis order), so
-intermediate dumps are reproducible.
+Boundaries are integer matrices (entries 0 and +-1 for the construct
+complexes), stored as sparse columns; ranks come from fraction-free Gaussian
+elimination over the integers with deterministic pivoting (first nonzero row
+in basis order), so intermediate dumps are reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import lcm
 from numbers import Rational
 
@@ -17,31 +16,60 @@ from .errors import InputError, ValidationError
 
 
 class ChainComplex:
-    """Graded basis label lists with one boundary matrix per positive grade.
+    """Graded basis label lists with one sparse boundary per positive grade.
 
-    `matrices[k]` maps grade k to grade k-1 and has shape
-    len(bases[k-1]) x len(bases[k]); grade 0 has no outgoing boundary.
-    Entries are kept as given and must be exact numbers (int or Fraction).
+    `columns[k-1][j]` is the boundary of basis element j of grade k: its
+    nonzero entries as (row, value) pairs in increasing row order, rows
+    indexing grade k-1.  Values are exact numbers (int or Fraction).  Dense
+    matrices exist only for output: the `matrices` view, `to_json` and
+    `to_triplets`.
+
+    `ChainComplex(bases, matrices, tag)` takes dense matrices: `matrices[k-1]`
+    maps grade k to grade k-1 and has shape len(bases[k-1]) x len(bases[k]);
+    grade 0 has no outgoing boundary.
     """
 
-    __slots__ = ("bases", "matrices", "tag")
+    __slots__ = ("bases", "columns", "tag")
 
     def __init__(self, bases, matrices, tag=None):
-        self.bases = [list(b) for b in bases]
-        self.matrices = [[list(row) for row in mat] for mat in matrices]
-        self.tag = tag or {}
-        if len(self.matrices) != max(len(self.bases) - 1, 0):
+        bases = [list(b) for b in bases]
+        matrices = [[list(row) for row in mat] for mat in matrices]
+        if len(matrices) != max(len(bases) - 1, 0):
             raise ValidationError("one boundary matrix per positive grade")
-        for k, mat in enumerate(self.matrices, start=1):
-            rows = len(self.bases[k - 1])
-            cols = len(self.bases[k])
-            if len(mat) != rows or any(len(r) != cols for r in mat):
+        columns = []
+        for k, mat in enumerate(matrices, start=1):
+            num_cols = len(bases[k])
+            if len(mat) != len(bases[k - 1]) or any(len(r) != num_cols for r in mat):
                 raise ValidationError(f"matrix shape mismatch in grade {k}")
             kinds = set()
             for row in mat:
                 kinds.update(map(type, row))
             if not all(issubclass(t, Rational) for t in kinds):
                 raise ValidationError(f"inexact matrix entry in grade {k}")
+            columns.append([
+                [(i, row[j]) for i, row in enumerate(mat) if row[j]]
+                for j in range(num_cols)
+            ])
+        self.bases = bases
+        self.columns = columns
+        self.tag = tag or {}
+
+    @classmethod
+    def from_columns(cls, bases, columns, tag=None) -> "ChainComplex":
+        """Complex over the given column store, taken as is (no copy, no
+        checks); a signed pass builds its complex this way."""
+        c = cls.__new__(cls)
+        c.bases = bases
+        c.columns = columns
+        c.tag = tag or {}
+        return c
+
+    @property
+    def matrices(self) -> list:
+        """Dense boundary matrices, built afresh on each access."""
+        return [
+            dense(grade, len(self.bases[k])) for k, grade in enumerate(self.columns)
+        ]
 
     def dims(self):
         return [len(b) for b in self.bases]
@@ -76,24 +104,19 @@ class ChainComplex:
         return "\n".join(lines)
 
 
-def _column_sparse(matrix):
-    cols = [{} for _ in range(len(matrix[0]) if matrix else 0)]
-    for i, row in enumerate(matrix):
-        for j in compress(range(len(row)), row):
-            cols[j][i] = row[j]
-    return cols
+def dense(columns, num_rows: int) -> list:
+    """Dense row-major matrix of a list of columns of (row, value) pairs."""
+    cols = range(len(columns))
+    return [[row.get(j, 0) for j in cols] for row in _sparse_rows(columns, num_rows)]
 
 
 def verify_complex(c: ChainComplex) -> bool:
     """All composites of consecutive boundaries are exactly zero."""
-    for k in range(1, len(c.matrices)):
-        if not c.matrices[k - 1]:
-            continue
-        lower_cols = _column_sparse(c.matrices[k - 1])
-        for column in _column_sparse(c.matrices[k]):
+    for lower, upper in zip(c.columns, c.columns[1:]):
+        for column in upper:
             acc = {}
-            for t, u in column.items():
-                for i, v in lower_cols[t].items():
+            for t, u in column:
+                for i, v in lower[t]:
                     acc[i] = acc.get(i, 0) + u * v
             if any(acc.values()):
                 return False
@@ -101,19 +124,22 @@ def verify_complex(c: ChainComplex) -> bool:
 
 
 def exact_rank(matrix) -> int:
-    """Fraction-free (Bareiss) integer elimination on sparse rows.
+    """Rank of a dense matrix of exact numbers; see `_rank`."""
+    return _rank([{j: x for j, x in enumerate(row) if x} for row in matrix])
 
-    Pivot choice is deterministic: columns in basis order, first remaining
-    row with a nonzero entry.  Every surviving row is rescaled each step so
-    the one-step divisions stay exact."""
-    if not matrix or not matrix[0]:
-        return 0
-    rows = [_integer_row(row) for row in matrix]
+
+def _rank(rows) -> int:
+    """Fraction-free (Bareiss) integer elimination on sparse rows, each a
+    dict from column to exact nonzero value.
+
+    Pivot choice is deterministic: columns in increasing order, first
+    remaining row with a nonzero entry.  Every surviving row is rescaled
+    each step so the one-step divisions stay exact."""
+    rows = [_integer_row(row) for row in rows]
     rank = 0
     prev_pivot = 1
-    ncols = len(matrix[0])
     row_order = list(range(len(rows)))
-    for col in range(ncols):
+    for col in sorted(set().union(*rows)):
         pivot_row = None
         for idx in row_order:
             if rows[idx].get(col):
@@ -145,14 +171,22 @@ def exact_rank(matrix) -> int:
     return rank
 
 
-def _integer_row(row) -> dict:
+def _integer_row(row: dict) -> dict:
     """Sparse row scaled to integers; denominators are cleared only for
-    rows holding nonzero entries that are not `int`."""
-    sparse = {j: row[j] for j in compress(range(len(row)), row)}
-    if all(type(x) is int for x in sparse.values()):
-        return sparse
-    denom = lcm(*(Fraction(x).denominator for x in sparse.values()))
-    return {j: int(Fraction(x) * denom) for j, x in sparse.items()}
+    rows holding entries that are not `int`."""
+    if all(type(x) is int for x in row.values()):
+        return row
+    denom = lcm(*(Fraction(x).denominator for x in row.values()))
+    return {j: int(Fraction(x) * denom) for j, x in row.items()}
+
+
+def _sparse_rows(columns, num_rows: int) -> list:
+    """Transpose of a list of columns of (row, value) pairs, as sparse rows."""
+    rows = [{} for _ in range(num_rows)]
+    for j, column in enumerate(columns):
+        for i, value in column:
+            rows[i][j] = value
+    return rows
 
 
 def betti(c: ChainComplex) -> tuple:
@@ -160,7 +194,9 @@ def betti(c: ChainComplex) -> tuple:
     if not verify_complex(c):
         raise InputError("betti numbers of an unverified complex")
     dims = c.dims()
-    ranks = [exact_rank(m) for m in c.matrices]
+    ranks = [
+        _rank(_sparse_rows(grade, dims[k])) for k, grade in enumerate(c.columns)
+    ]
     out = []
     for k, d in enumerate(dims):
         below = ranks[k - 1] if k >= 1 else 0
@@ -179,19 +215,11 @@ def diamond_sign_check(poset, signs):
 
     `signs` maps covering pairs (lower_index, upper_index) of the face
     poset to +-1; the bottom face is exempt.  Returns (ok, witness)."""
-    n = len(poset.faces)
     for low, high in poset.covers:
         if low != poset.bottom and (low, high) not in signs:
             raise InputError(f"missing sign on cover {(low, high)}")
-    for i in range(n):
-        ups = poset.upper_covers(i)
-        for a_pos, a in enumerate(ups):
-            for b in ups[a_pos + 1 :]:
-                for d in set(poset.upper_covers(a)) & set(poset.upper_covers(b)):
-                    total = (
-                        signs[(a, d)] * signs[(i, a)]
-                        + signs[(b, d)] * signs[(i, b)]
-                    )
-                    if total != 0:
-                        return False, (i, a, b, d)
+    for i, a, b, tops in poset.length_two_intervals():
+        for d in tops:
+            if signs[(a, d)] * signs[(i, a)] + signs[(b, d)] * signs[(i, b)]:
+                return False, (i, a, b, d)
     return True, None

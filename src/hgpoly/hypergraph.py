@@ -7,7 +7,6 @@ immutable and all operations are pure.
 
 from __future__ import annotations
 
-import json
 import warnings
 
 from .errors import CapacityError, DisconnectedError, InputError, ValidationError
@@ -211,8 +210,6 @@ class Hypergraph:
 
     @classmethod
     def from_json(cls, data) -> "Hypergraph":
-        if isinstance(data, str):
-            data = json.loads(data)
         try:
             vertices = data["vertices"]
             hyperedges = data["hyperedges"]

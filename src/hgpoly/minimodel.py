@@ -25,6 +25,7 @@ from fractions import Fraction
 from .constructs import Construct, enumerate_constructs, _count_nodes, _submasks
 from .errors import CompatibilityError, InputError
 from .graphs import Graph, _translate, canonical_contraction, incidence_hypergraph
+from .homology import dense
 from .hypergraph import Hypergraph, _popcount
 from . import constructs as _constructs
 
@@ -173,11 +174,6 @@ class FreeComponent:
         n = len(self.hypergraph)
         return {n - _count_nodes(c) for c in self.coeffs}
 
-    def grade_part(self, k: int) -> "FreeComponent":
-        n = len(self.hypergraph)
-        kept = {c: v for c, v in self.coeffs.items() if n - _count_nodes(c) == k}
-        return FreeComponent(self.graph, kept, self.hypergraph)
-
     def scaled(self, factor) -> "FreeComponent":
         factor = Fraction(factor)
         return FreeComponent(
@@ -306,27 +302,20 @@ def boundary_matrix(
         raise InputError(f"degree {k} outside 1..{len(grades) - 1}")
     rows = grades[k - 1]
     cols = grades[k]
-    return rows, cols, row_major(grade_columns(h, rows, cols, convention), len(rows))
+    return rows, cols, dense(grade_columns(h, rows, cols, convention), len(rows))
 
 
 def grade_columns(h: Hypergraph, rows, cols, convention: SignConvention) -> list:
     """Boundary of each construct of `cols` as (row, sign) pairs indexing the
-    basis `rows`, one `boundary_of_basis` call per column; the covered faces
-    themselves are not kept."""
+    basis `rows`, in increasing row order, one `boundary_of_basis` call per
+    column; the covered faces themselves are not kept."""
     row_index = {c: i for i, c in enumerate(rows)}
     return [
-        [(row_index[face], sign) for face, sign in boundary_of_basis(h, c, convention)]
+        sorted(
+            (row_index[face], sign) for face, sign in boundary_of_basis(h, c, convention)
+        )
         for c in cols
     ]
-
-
-def row_major(columns, num_rows: int) -> list:
-    """Dense row-major matrix of a list of columns of (row, value) pairs."""
-    matrix = [[0] * len(columns) for _ in range(num_rows)]
-    for j, column in enumerate(columns):
-        for i, value in column:
-            matrix[i][j] = value
-    return matrix
 
 
 def rho(x: FreeComponent) -> Fraction:

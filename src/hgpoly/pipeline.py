@@ -6,48 +6,36 @@ from .constructs import FacePoset, collapse, format_construct
 from .errors import InputError, PropertyViolation
 from .graphs import Graph, alpha, alpha_inv
 from .homology import ChainComplex, betti, diamond_sign_check
-from .minimodel import (
-    DEFAULT_CONVENTION,
-    SignConvention,
-    basis_by_grade,
-    grade_columns,
-    row_major,
-)
+from .minimodel import DEFAULT_CONVENTION, SignConvention, basis_by_grade, grade_columns
 
 
-def signed_covers(g: Graph, convention: SignConvention = DEFAULT_CONVENTION):
+def signed_covers(
+    g: Graph, convention: SignConvention = DEFAULT_CONVENTION, name=None
+):
     """The signed covering relation of the construct basis of a graph.
 
-    Returns (h, grades, columns): the incidence hypergraph, the constructs
-    grouped by grade in canonical order, and for every grade k >= 1 (at
-    `columns[k - 1]`) the boundary of each construct of grade k as (row,
+    Returns (h, grades, complex_): the incidence hypergraph, the constructs
+    grouped by grade in canonical order, and their chain complex, whose
+    `columns[k - 1]` hold the boundary of each construct of grade k as (row,
     sign) pairs indexing grade k - 1.  The constructs are enumerated once
     and `boundary_of_basis` runs once per construct of positive grade."""
     h, grades = basis_by_grade(g)
+    bases = [[format_construct(c, h) for c in grade] for grade in grades]
     columns = [
         grade_columns(h, grades[k - 1], grades[k], convention)
         for k in range(1, len(grades))
     ]
-    return h, grades, columns
-
-
-def _complex(signed, convention, name=None) -> ChainComplex:
-    h, grades, columns = signed
-    bases = [[format_construct(c, h) for c in grade] for grade in grades]
-    matrices = [
-        row_major(grade, len(grades[k])) for k, grade in enumerate(columns)
-    ]
     tag = {"sign_convention": convention.name}
     if name:
         tag["graph"] = name
-    return ChainComplex(bases, matrices, tag)
+    return h, grades, ChainComplex.from_columns(bases, columns, tag)
 
 
 def complex_for_graph(
     g: Graph, convention: SignConvention = DEFAULT_CONVENTION, name=None
 ) -> ChainComplex:
     """Chain complex of the construct basis of a graph, canonical order."""
-    return _complex(signed_covers(g, convention), convention, name)
+    return signed_covers(g, convention, name)[2]
 
 
 def _betti_or_none(complex_):
@@ -72,14 +60,14 @@ def homology_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
 
 
 def _poset_and_signs(signed):
-    h, grades, columns = signed
+    h, grades, complex_ = signed
     start = [0] * len(grades)
     faces = []
     for k in reversed(range(len(grades))):
         start[k] = len(faces)
         faces.extend(grades[k])
     signs = {}
-    for k, grade in enumerate(columns, start=1):
+    for k, grade in enumerate(complex_.columns, start=1):
         for j, column in enumerate(grade):
             for row, sign in column:
                 signs[(start[k - 1] + row, start[k] + j)] = sign
@@ -101,8 +89,9 @@ def check_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
     (grade-1 column sums vanish) and the `alpha` round trip.  Raises
     PropertyViolation with a witness on the first statement that fails."""
     signed = signed_covers(g, convention)
-    h, grades, columns = signed
-    numbers = _betti_or_none(_complex(signed, convention))
+    h, grades, complex_ = signed
+    columns = complex_.columns
+    numbers = _betti_or_none(complex_)
     if numbers is None:
         raise PropertyViolation("d^2 != 0", {"graph": name})
 

@@ -5,8 +5,6 @@ the restriction of the free-complex pipeline along the forgetful maps.
 
 from __future__ import annotations
 
-import json
-
 from .errors import InputError, ValidationError
 from .graphs import CanonicalContraction, Graph, canonical_contraction, incidence_hypergraph
 from .hypergraph import _submasks
@@ -35,11 +33,6 @@ class GenusGrading:
 
     @classmethod
     def from_json(cls, graph: Graph, data) -> "GenusGrading":
-        if isinstance(data, str):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError:
-                raise InputError("vertex genera must map vertices to integers") from None
         return cls(graph, data)
 
 
@@ -86,14 +79,16 @@ class Orientation:
     __slots__ = ("graph", "edge_inputs", "leg_marks")
 
     def __init__(self, graph: Graph, edge_inputs, leg_marks):
+        if not (isinstance(edge_inputs, dict) and isinstance(leg_marks, dict)):
+            raise InputError("orientation 'edges' and 'legs' must be JSON objects")
         self.graph = graph
         self.edge_inputs = dict(edge_inputs)
         self.leg_marks = dict(leg_marks)
 
     @classmethod
     def from_json(cls, graph: Graph, data) -> "Orientation":
-        if isinstance(data, str):
-            data = json.loads(data)
+        if not isinstance(data, dict):
+            raise InputError("an orientation must be a JSON object")
         return cls(graph, data.get("edges", {}), data.get("legs", {}))
 
 

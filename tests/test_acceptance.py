@@ -49,6 +49,7 @@ from hgpoly.variants import (
 )
 
 from test_constructs import oracle_constructs
+from test_homology import flip_entry
 from test_hypergraph import hg
 from test_variants import increasing_trees
 
@@ -136,7 +137,7 @@ def test_criterion_04_diamond(graphs):
     k = poset.rank_of(key[1])
     lows = [i for i in range(len(poset.faces)) if poset.rank_of(i) == k - 1]
     highs = [i for i in range(len(poset.faces)) if poset.rank_of(i) == k]
-    c.matrices[k - 1][lows.index(key[0])][highs.index(key[1])] *= -1
+    flip_entry(c, k, lows.index(key[0]), highs.index(key[1]))
     assert (not bad_ok) and (not verify_complex(c))
     elapsed = time.monotonic() - t0
     _passline(4, elapsed, f"diamond property and sign relation on {checked} graphs")

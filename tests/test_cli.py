@@ -7,7 +7,7 @@ from hgpoly.cli import main
 from hgpoly.constructs import covers_of, enumerate_constructs
 from hgpoly.corpus import corpus_raw
 from hgpoly.graphs import Graph, incidence_hypergraph
-from hgpoly.homology import verify_complex
+from hgpoly.homology import dense, verify_complex
 from hgpoly.minimodel import boundary_of_basis
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hgpoly" / "corpus"
@@ -418,6 +418,25 @@ def test_non_integer_genus_exits_one(capsys, tmp_path):
         assert "vertex genera must be nonnegative integers" in err
 
 
+def test_malformed_orientation_exits_one(capsys, tmp_path):
+    for value in ({"edges": [1]}, {"legs": [1]}, [1]):
+        raw = corpus_raw("graph", "line3")
+        raw["orientation"] = value
+        code, _, err = run(capsys, "variants", "classify", write_json(tmp_path, raw))
+        assert code == 1
+        assert "orientation" in err
+
+
+def test_json_string_file_exits_one(capsys, tmp_path):
+    inner = json.dumps(corpus_raw("graph", "line3"))
+    for data in ("x", inner):
+        target = write_json(tmp_path, data)
+        for argv in (("hg", "check"), ("graph", "validate")):
+            code, _, err = run(capsys, *argv, target)
+            assert code == 1, (argv, data)
+            assert "JSON" in err
+
+
 # -- work done per op -------------------------------------------------------------
 
 
@@ -443,7 +462,9 @@ def count_calls(monkeypatch, *functions):
 def test_model_check_enumerates_once(capsys, monkeypatch):
     h = incidence_hypergraph(Graph.from_json(corpus_raw("graph", "line4")))
     positive = sum(1 for c in enumerate_constructs(h) if c.num_nodes() < len(h))
-    functions = (enumerate_constructs, boundary_of_basis, covers_of, verify_complex)
+    functions = (
+        enumerate_constructs, boundary_of_basis, covers_of, verify_complex, dense
+    )
     counts = count_calls(monkeypatch, *functions)
     code, _, _ = run(capsys, "model", "check", path("graph_line4.json"))
     assert code == 0
@@ -452,11 +473,12 @@ def test_model_check_enumerates_once(capsys, monkeypatch):
         "boundary_of_basis": positive,
         "covers_of": 0,
         "verify_complex": 1,
+        "dense": 0,
     }
 
 
 def test_model_homology_verifies_once(capsys, monkeypatch):
-    counts = count_calls(monkeypatch, verify_complex)
+    counts = count_calls(monkeypatch, verify_complex, dense)
     code, _, _ = run(capsys, "model", "homology", path("graph_line4.json"))
     assert code == 0
-    assert counts == {"verify_complex": 1}
+    assert counts == {"verify_complex": 1, "dense": 0}
