@@ -38,11 +38,15 @@ def _emit(obj):
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"JSON in {path} is nested too deeply") from None
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
@@ -83,13 +87,12 @@ def _hg_check(args):
 
 def _hg_constructs(args):
     h = _load_hypergraph(args.input)
-    items = _constructs.enumerate_constructs(h)
+    grades = _constructs.graded_constructs(h)
     if args.rank is not None:
-        items = tuple(c for c in items if len(h) - c.num_nodes() == args.rank)
+        grades = [grade if k == args.rank else [] for k, grade in enumerate(grades)]
+    items = [c for grade in reversed(grades) for c in grade]
     if args.count:
-        by_rank = [0] * len(h)
-        for c in items:
-            by_rank[len(h) - c.num_nodes()] += 1
+        by_rank = [len(grade) for grade in grades]
         while len(by_rank) > 1 and by_rank[-1] == 0 and args.rank is not None:
             by_rank.pop()
         _emit({"by_rank": by_rank, "total": len(items)})
@@ -99,19 +102,14 @@ def _hg_constructs(args):
 
 
 def _hg_poset(args):
-    from .errors import CapacityError
-
     h = _load_hypergraph(args.input)
-    try:
-        poset = _constructs.face_poset(h, max_faces=args.max_faces)
-    except CapacityError:
+    grades = _constructs.graded_constructs(h)
+    by_rank = [len(grade) for grade in grades]
+    if sum(by_rank) > args.max_faces:
         # over the cap the CLI reports counts only
-        items = _constructs.enumerate_constructs(h)
-        by_rank = [0] * len(h)
-        for c in items:
-            by_rank[len(h) - c.num_nodes()] += 1
-        _emit({"capped": True, "by_rank": by_rank, "total": len(items)})
+        _emit({"capped": True, "by_rank": by_rank, "total": sum(by_rank)})
         return 0
+    poset = _constructs.FacePoset(h, grades)
     if args.format == "dot":
         sys.stdout.write(poset.to_dot())
         sys.stdout.write("\n")

@@ -28,18 +28,21 @@ class Construct:
     the non-planar trees they represent.
     """
 
-    __slots__ = ("decoration", "children", "subtree_union", "_key", "_hash")
+    __slots__ = ("decoration", "children", "subtree_union", "size", "_key", "_hash")
 
     def __init__(self, decoration: int, children=()):
         children = tuple(children)
         union = decoration
+        size = 1
         for child in children:
             union |= child.subtree_union
+            size += child.size
         self.decoration = decoration
         self.children = tuple(
             sorted(children, key=lambda c: c.subtree_union & -c.subtree_union)
         )
         self.subtree_union = union
+        self.size = size
         self._key = (
             tuple(_bit_positions(decoration)),
             tuple(c._key for c in self.children),
@@ -61,7 +64,7 @@ class Construct:
         return self._key
 
     def num_nodes(self) -> int:
-        return _count_nodes(self)
+        return self.size
 
     def nodes(self):
         """Decorations in preorder, children in canonical order."""
@@ -110,10 +113,6 @@ def _bit_positions(mask: int):
     return pos
 
 
-def _count_nodes(c: Construct) -> int:
-    return 1 + sum(_count_nodes(ch) for ch in c.children)
-
-
 def format_construct(c: Construct, h: Hypergraph) -> str:
     dec = "{" + ",".join(h.labels_of(c.decoration)) + "}"
     if not c.children:
@@ -153,7 +152,7 @@ def _valid_on(h: Hypergraph, mask: int, c: Construct) -> bool:
 def rank(c: Construct, h: Hypergraph) -> int:
     if not is_construct(h, c):
         raise InputError("not a construct of the given hypergraph")
-    return len(h) - _count_nodes(c)
+    return len(h) - c.size
 
 
 def enumerate_constructs(h: Hypergraph) -> tuple:
@@ -161,7 +160,16 @@ def enumerate_constructs(h: Hypergraph) -> tuple:
     require_connected(h)
     cache: dict[int, tuple] = {}
     out = _enumerate_on(h, h.ground_mask, cache)
-    return tuple(sorted(out, key=lambda c: (_count_nodes(c), c.sort_key())))
+    return tuple(sorted(out, key=lambda c: (c.size, c.sort_key())))
+
+
+def graded_constructs(h: Hypergraph) -> list:
+    """`enumerate_constructs(h)` grouped by rank: entry k lists the rank-k
+    constructs in canonical order."""
+    grades = [[] for _ in range(len(h))]
+    for c in enumerate_constructs(h):
+        grades[len(h) - c.size].append(c)
+    return grades
 
 
 def _enumerate_on(h: Hypergraph, mask: int, cache: dict) -> list:
@@ -325,17 +333,26 @@ def covers_of(h: Hypergraph, c: Construct) -> list:
 class FacePoset:
     """All constructs plus the bottom face, with the covering relation.
 
-    Faces are indexed 0..n-1 in the canonical order (rank descending, then
-    tree order); the bottom face has index n and rank -1.
+    Built from `graded_constructs(h)`.  Faces are indexed 0..n-1 in the
+    canonical order (rank descending, then tree order); the bottom face has
+    index n and rank -1.  The covers come from collapses: a face lies under
+    the collapse of each of its non-root nodes into its parent (always a
+    construct), and the bottom lies under every rank-0 face.  Sorted
+    `(lower, upper)` index pairs.
     """
 
-    def __init__(self, h: Hypergraph, faces, covers):
+    def __init__(self, h: Hypergraph, grades):
         self.hypergraph = h
-        self.faces = tuple(faces)
-        self.covers = tuple(covers)
+        self.faces = tuple(c for grade in reversed(grades) for c in grade)
         self.bottom = len(self.faces)
         self._index = {c: i for i, c in enumerate(self.faces)}
-        self._ranks = [len(h) - _count_nodes(c) for c in self.faces]
+        self._ranks = [len(h) - c.size for c in self.faces]
+        covers = [(self.bottom, self._index[c]) for c in grades[0]]
+        for i, c in enumerate(self.faces):
+            for node in c.nodes():
+                if node is not c:
+                    covers.append((i, self._index[collapse(c, node.decoration)]))
+        self.covers = tuple(sorted(covers))
         self._up = {i: [] for i in range(len(self.faces) + 1)}
         self._down = {i: [] for i in range(len(self.faces) + 1)}
         for low, high in self.covers:
@@ -412,21 +429,11 @@ class FacePoset:
 
 
 def face_poset(h: Hypergraph, max_faces: int = DEFAULT_MAX_FACES) -> FacePoset:
-    require_connected(h)
-    faces = enumerate_constructs(h)
-    if len(faces) > max_faces:
-        raise CapacityError(f"{len(faces)} faces exceed the limit {max_faces}")
-    index = {c: i for i, c in enumerate(faces)}
-    covers = []
-    for i, c in enumerate(faces):
-        for low in covers_of(h, c):
-            covers.append((index[low], i))
-    bottom = len(faces)
-    for i, c in enumerate(faces):
-        if _count_nodes(c) == len(h):
-            covers.append((bottom, i))
-    covers.sort()
-    return FacePoset(h, faces, covers)
+    grades = graded_constructs(h)
+    total = sum(map(len, grades))
+    if total > max_faces:
+        raise CapacityError(f"{total} faces exceed the limit {max_faces}")
+    return FacePoset(h, grades)
 
 
 def check_diamond(h: Hypergraph, poset: FacePoset | None = None):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .constructs import Construct, enumerate_constructs, _count_nodes
+from .constructs import Construct, graded_constructs
 from .errors import CapacityError, InfeasibleError, InputError, NotConvexError
 from .hypergraph import Hypergraph, _popcount, _submasks, require_connected
 
@@ -229,9 +229,7 @@ def realize(h: Hypergraph, g: CooperativeGame) -> Realization:
     hrep = core_hrep(h, g)
     n = len(h)
     vertex_map = {}
-    for c in enumerate_constructs(h):
-        if _count_nodes(c) != n:
-            continue
+    for c in graded_constructs(h)[0]:
         coords = [None] * n
         _solve_tight(c, g, coords)
         point = tuple(coords)

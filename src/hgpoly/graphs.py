@@ -163,6 +163,8 @@ class Graph:
 
     @classmethod
     def from_json(cls, data) -> "Graph":
+        if not isinstance(data, dict):
+            raise ValidationError("graph JSON must be an object")
         try:
             vertices = data["vertices"]
             if not isinstance(vertices, list):
@@ -578,26 +580,29 @@ def ambient_edge_names(g: Graph, sub: Graph) -> list:
 def alpha(g: Graph, c: Construct) -> GraphTree:
     """Graph-tree associated to a construct of the incidence hypergraph."""
     h = incidence_hypergraph(g)
-    return _alpha(g, h, c)
+    if not c.children and c.decoration != h.ground_mask:
+        raise InputError("childless construct must carry every edge")
+    return _alpha(g, h, g, c)
 
 
-def _alpha(g: Graph, h: Hypergraph, c: Construct) -> GraphTree:
+def _alpha(g: Graph, h: Hypergraph, sub: Graph, c: Construct) -> GraphTree:
+    """alpha of the subtree `c` over the subgraph `sub` of `g` it spans.
+
+    `c` keeps the decorations of `h`, the incidence hypergraph of `g`: a
+    subgraph of `sub` is the subgraph of `g` on the same edges, with the
+    same names, flags and orders, so every fiber is taken from `g`."""
     if not c.children:
-        if c.decoration != h.ground_mask:
-            raise InputError("childless construct must carry every edge")
-        return corolla_tree(g)
+        return corolla_tree(sub)
     children = []
-    quotient = g
-    for sub in c.children:
-        names = list(h.labels_of(sub.subtree_union))
+    quotient = sub
+    for child in c.children:
+        names = list(h.labels_of(child.subtree_union))
         fiber = subgraph_from_edges(g, names)
-        fiber_h = incidence_hypergraph(fiber)
-        sub_translated = _translate(sub, h, fiber_h)
-        children.append((fiber.vertices[0], _alpha(fiber, fiber_h, sub_translated)))
+        children.append((fiber.vertices[0], _alpha(g, h, fiber, child)))
         pairs = [g.edge_by_name(n).flags for n in names]
         current_names = [quotient.edge_by_pair(p).name for p in pairs]
         quotient = canonical_contraction(quotient, current_names).quotient
-    return GraphTree(quotient, children, g.vertices)
+    return GraphTree(quotient, children, sub.vertices)
 
 
 def _translate(c: Construct, from_h: Hypergraph, to_h: Hypergraph) -> Construct:

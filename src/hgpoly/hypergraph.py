@@ -210,6 +210,8 @@ class Hypergraph:
 
     @classmethod
     def from_json(cls, data) -> "Hypergraph":
+        if not isinstance(data, dict):
+            raise ValidationError("hypergraph JSON must be an object")
         try:
             vertices = data["vertices"]
             hyperedges = data["hyperedges"]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructs import Construct, enumerate_constructs, _count_nodes, _submasks
+from .constructs import Construct, _bit_positions, _submasks, graded_constructs
 from .errors import CompatibilityError, InputError
 from .graphs import Graph, _translate, canonical_contraction, incidence_hypergraph
 from .homology import dense
@@ -92,14 +92,7 @@ def _permutation_sign(source, target) -> int:
 
 def _mask_shuffle_sign(whole: int, first: int, second: int) -> int:
     """shuffle_sign on bit positions; `first`|`second` must equal `whole`."""
-    edges = []
-    i = 0
-    m = whole
-    while m:
-        if m & 1:
-            edges.append(i)
-        m >>= 1
-        i += 1
+    edges = _bit_positions(whole)
     target = [e for e in edges if first >> e & 1] + [e for e in edges if second >> e & 1]
     return _permutation_sign(edges, target)
 
@@ -172,7 +165,7 @@ class FreeComponent:
         if self.hypergraph is None:
             return {0} if self.coeffs else set()
         n = len(self.hypergraph)
-        return {n - _count_nodes(c) for c in self.coeffs}
+        return {n - c.size for c in self.coeffs}
 
     def scaled(self, factor) -> "FreeComponent":
         factor = Fraction(factor)
@@ -280,16 +273,6 @@ def boundary(
     return FreeComponent(x.graph, total, x.hypergraph)
 
 
-def basis_by_grade(g: Graph):
-    """Constructs grouped by grade, each grade in canonical order."""
-    h = incidence_hypergraph(g)
-    n = len(h)
-    grades = [[] for _ in range(n)]
-    for c in enumerate_constructs(h):
-        grades[n - _count_nodes(c)].append(c)
-    return h, grades
-
-
 def boundary_matrix(
     g: Graph, k: int, convention: SignConvention = DEFAULT_CONVENTION
 ):
@@ -297,7 +280,8 @@ def boundary_matrix(
 
     Rows are indexed by grade k-1, columns by grade k; entries are the
     integers 0 and +-1."""
-    h, grades = basis_by_grade(g)
+    h = incidence_hypergraph(g)
+    grades = graded_constructs(h)
     if not 1 <= k <= len(grades) - 1:
         raise InputError(f"degree {k} outside 1..{len(grades) - 1}")
     rows = grades[k - 1]
@@ -325,7 +309,7 @@ def rho(x: FreeComponent) -> Fraction:
     n = len(x.hypergraph)
     total = Fraction(0)
     for c, v in x.coeffs.items():
-        if _count_nodes(c) == n:
+        if c.size == n:
             total += v
     return total
 

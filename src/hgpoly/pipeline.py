@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from .constructs import FacePoset, collapse, format_construct
+from .constructs import FacePoset, format_construct, graded_constructs
 from .errors import InputError, PropertyViolation
-from .graphs import Graph, alpha, alpha_inv
+from .graphs import Graph, alpha, alpha_inv, incidence_hypergraph
 from .homology import ChainComplex, betti, diamond_sign_check
-from .minimodel import DEFAULT_CONVENTION, SignConvention, basis_by_grade, grade_columns
+from .minimodel import DEFAULT_CONVENTION, SignConvention, grade_columns
 
 
 def signed_covers(
@@ -19,7 +19,8 @@ def signed_covers(
     `columns[k - 1]` hold the boundary of each construct of grade k as (row,
     sign) pairs indexing grade k - 1.  The constructs are enumerated once
     and `boundary_of_basis` runs once per construct of positive grade."""
-    h, grades = basis_by_grade(g)
+    h = incidence_hypergraph(g)
+    grades = graded_constructs(h)
     bases = [[format_construct(c, h) for c in grade] for grade in grades]
     columns = [
         grade_columns(h, grades[k - 1], grades[k], convention)
@@ -60,20 +61,18 @@ def homology_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
 
 
 def _poset_and_signs(signed):
+    """The face poset of the signed basis, and the sign of each boundary
+    term keyed by the (lower, upper) face indices of the poset."""
     h, grades, complex_ = signed
-    start = [0] * len(grades)
-    faces = []
-    for k in reversed(range(len(grades))):
-        start[k] = len(faces)
-        faces.extend(grades[k])
+    poset = FacePoset(h, grades)
     signs = {}
     for k, grade in enumerate(complex_.columns, start=1):
+        low = poset.index(grades[k - 1][0])
+        high = poset.index(grades[k][0])
         for j, column in enumerate(grade):
             for row, sign in column:
-                signs[(start[k - 1] + row, start[k] + j)] = sign
-    bottom = len(faces)
-    covers = list(signs) + [(bottom, start[0] + j) for j in range(len(grades[0]))]
-    return FacePoset(h, faces, sorted(covers)), signs
+                signs[(low + row, high + j)] = sign
+    return poset, signs
 
 
 def cover_signs(g: Graph, convention=DEFAULT_CONVENTION):
@@ -96,32 +95,28 @@ def check_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
         raise PropertyViolation("d^2 != 0", {"graph": name})
 
     for k, grade in enumerate(columns, start=1):
-        support = set()
         for j, column in enumerate(grade):
-            rows = {row for row, _ in column}
             if any(sign not in (1, -1) for _, sign in column):
                 problem = "boundary coefficient outside {-1,+1}"
-            elif len(rows) != len(column):
+            elif len({row for row, _ in column}) != len(column):
                 problem = "a covered face appears twice"
             else:
-                support.update((row, j) for row in rows)
                 continue
             raise PropertyViolation(problem, {"construct": grades[k][j].to_json(h)})
-        upper = {c: j for j, c in enumerate(grades[k])}
-        collapses = {
-            (i, upper[collapse(c, node.decoration)])
-            for i, c in enumerate(grades[k - 1])
-            for node in c.nodes()
-            if node is not c
-        }
-        if support != collapses:
-            j = min(j for _, j in support ^ collapses)
-            raise PropertyViolation(
-                "boundary support differs from the covered faces",
-                {"construct": grades[k][j].to_json(h)},
-            )
 
-    ok, witness = diamond_sign_check(*_poset_and_signs(signed))
+    poset, signs = _poset_and_signs(signed)
+    covered = {pair for pair in poset.covers if pair[0] != poset.bottom}
+    if set(signs) != covered:
+        wrong = min(
+            (high for _, high in covered ^ set(signs)),
+            key=lambda i: (poset.rank_of(i), i),
+        )
+        raise PropertyViolation(
+            "boundary support differs from the covered faces",
+            {"construct": poset.faces[wrong].to_json(h)},
+        )
+
+    ok, witness = diamond_sign_check(poset, signs)
     if not ok:
         raise PropertyViolation("diamond sign relation fails", witness)
 

@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 from hgpoly.cli import main
-from hgpoly.constructs import covers_of, enumerate_constructs
+from hgpoly.constructs import covers_of, enumerate_constructs, node_splits
 from hgpoly.corpus import corpus_raw
 from hgpoly.graphs import Graph, incidence_hypergraph
 from hgpoly.homology import dense, verify_complex
@@ -333,6 +333,132 @@ def test_model_output_bytes_match_recorded_digests(capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == expected, (name, argv)
 
 
+# sha256 of stdout for `hg poset` (json and dot), `hg poset --max-faces 3`,
+# `hg diamond`, `hg constructs`, `hg constructs --count` and
+# `hg constructs --count --rank 1` on every corpus hypergraph, recorded from
+# the face poset that built its covers by trying every split.
+HG_OUTPUT_SHA256 = {
+    "hexagon": (
+        "0a06a92303757e632c9fe8cf62985890396b1d647f6db03c7bc16d30c7ef3cf9",
+        "0dc8b219e6cc54af1ebc5e57d9fe29ad3871280d0346c6f8cd22116e2ac547bd",
+        "b6b3b2e55c5fa30a4c182eef0cd5e6f85c6a12baebf3e3a85414acf31eb0e17d",
+        "b0174f18c1875ee1c4f972f4bb4960efc557f7ef88c987724b0c8c2d7b4bf3f5",
+        "48ccafb1e43da5a22452032f2763af9c9f5bf95fac652f564f87a4feae172cb3",
+        "08c6009a2955a290e8fa4f501cc1e7c143e256939f8e294a8a4501c7da188b54",
+        "c6b40b0960787f3971d11214376fd3d3d2ee307fb3ef12c8858aa59ce7ac61fd",
+    ),
+    "k4": (
+        "9ea412006644bf72cfeee726b78626c7dec94511d4f80fa8e5e43fe8189b00c4",
+        "8e7219a61ab958d5aafec0a026d495cc9dda2d82c374c9f07abed9b40a09d7a8",
+        "dc12292964c8260e062d3441f07a77ff68114803958c9b157a21f3c51e10313e",
+        "b0174f18c1875ee1c4f972f4bb4960efc557f7ef88c987724b0c8c2d7b4bf3f5",
+        "66e41c154fb3048a2629b44934a0c54076535b65ff1d4e705d0eda0c3bde2e12",
+        "394b29915b2ec13e4274548b79a58c8783382cb16a6bfcf6981d8d0c56e06ee5",
+        "7b306fc2a303f26fb18cad538edae08f68ad82133bf5f441700edca25bbf55f4",
+    ),
+    "k5_minus": (
+        "fc16cc4e8c1728a3cb8478a1f48a44e6808fd0c056cdecd42ef604c970ed10ce",
+        "8249a83f1bca7d40908291d3a77b7642f5c7a85a9e4848bfe661b032381ebbbe",
+        "7017260dfbddaaa5b5f0ab5d4fe30fdfd2efaaeed860af242197aaf10fd9eaa4",
+        "b0174f18c1875ee1c4f972f4bb4960efc557f7ef88c987724b0c8c2d7b4bf3f5",
+        "6c271fd65b4ef889dd276fd6d1affa678678facd5f4f06e598f98a77541c7255",
+        "b20c6dca431e392562f56cf731c3a621f4a01a27e6b1824a22a679e75d742a85",
+        "c9ba469e914de079285cab5ee401f7b9f0bb141d79818d54354305aef23b77cd",
+    ),
+    "path4": (
+        "eb7ac8a7db3afb06b718b61e8b6ecaa393e20ecd9357e0aaf592fd1024714494",
+        "c2e72f4ecbdd91988cfcd3481fe67758ee9d7bb8a225c8b1cfa42e20ab6e1ba3",
+        "f18813d62114ab7363e7a087a2b900b05877225a88bf63deaef2a148bbb7dcd7",
+        "b0174f18c1875ee1c4f972f4bb4960efc557f7ef88c987724b0c8c2d7b4bf3f5",
+        "e89132fed20e258071ac0ac22199c9bff713754200a5053ec207610660196c92",
+        "193ad4d3d3add4c9055421c008e5b8be3aa59848b84ec9606dd09d61a2f018ac",
+        "63206b4e8f9fbd78c33324a7158c8347e892eac4331889549f26d20b522450d3",
+    ),
+    "pentagon": (
+        "accd5bd11360e7000b800bb2d3a7b218d962ee8479ab6a30d549b7458921af94",
+        "651037d560b6a9975a8b4c3404e64d030c73325108d5fbaf88205f521cdba573",
+        "01c10004ed01ae8b734dab2cd4e0640bc6d8007209cc30725d9bdd31c9af4810",
+        "b0174f18c1875ee1c4f972f4bb4960efc557f7ef88c987724b0c8c2d7b4bf3f5",
+        "8245cc6ab6e2e5ea6784b748c1b30f5d0d183f23cf5d24a9c136ecfe2d47463b",
+        "eaf353c11a367017352967f0c801be11ee6c4e500fe5c1bb044c24448b5dcfea",
+        "e61b6cf970481136ba2f097cf0194233a1e303b855644aa4079dc1cbaa2f868d",
+    ),
+    "segment": (
+        "3f78ee26eea5249e39dad296ed3146de2ce0fb1326b070b6c03236b6708579a7",
+        "cba341be2fb16644fd9055128468982869ed2db5997d40910913348ba7e8264d",
+        "3f78ee26eea5249e39dad296ed3146de2ce0fb1326b070b6c03236b6708579a7",
+        "b0174f18c1875ee1c4f972f4bb4960efc557f7ef88c987724b0c8c2d7b4bf3f5",
+        "2ab87407b2eb0548cb0bcc56c8a58ba88067c1379682e2e875f1dbe8cf1fb039",
+        "8b1eb9b769b2dce3f4d791d99f36eada689320b8af9f847ee59f07a8142caacf",
+        "581613a46bc7fdf090968a947c4cee4e678be36d1f68859bb303125800d1c128",
+    ),
+    "star4": (
+        "335f8e660db6497f757e7632a3a8c8e9fcc1020a3ad4dac0089a76df25eb3569",
+        "ede58dee0ac0cdce758f494618d39e825d1877000e06369d4e2b19223fa0b68c",
+        "52f5d135f1a77c73e75b563bed0dfc57dfc4618be456633e010efd8a9da2b58f",
+        "b0174f18c1875ee1c4f972f4bb4960efc557f7ef88c987724b0c8c2d7b4bf3f5",
+        "22c2d6a1b0006f58bfc7bfea353569bfe69df68ed020b95480278fe9d60067d9",
+        "d7c85884303b0b87aaf0287149babba8adf8aad70da1fb7c7a11ada9795063a7",
+        "5dab9a1f727db936dcd4d2394f79505d857f35b7d388d356061a7caabb7f46af",
+    ),
+}
+
+HG_COMMANDS = (
+    ("hg", "poset"),
+    ("hg", "poset", "--format", "dot"),
+    ("hg", "poset", "--max-faces", "3"),
+    ("hg", "diamond"),
+    ("hg", "constructs"),
+    ("hg", "constructs", "--count"),
+    ("hg", "constructs", "--count", "--rank", "1"),
+)
+
+
+def test_hg_output_bytes_match_recorded_digests(capsys):
+    for name, digests in HG_OUTPUT_SHA256.items():
+        for argv, expected in zip(HG_COMMANDS, digests):
+            code, out, _ = run(capsys, *argv, path(f"hg_{name}.json"))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == expected, (name, argv)
+
+
+def test_constructs_count_outside_the_ranks(capsys):
+    for rank in ("7", "-1"):
+        code, out, _ = run(
+            capsys, "hg", "constructs", path("hg_pentagon.json"), "--count", "--rank", rank
+        )
+        assert code == 0
+        assert json.loads(out) == {"by_rank": [0], "total": 0}
+
+
+# sha256 of stdout for `graph gtrees` on every corpus graph with at most 5
+# internal edges, recorded from the `alpha` that rebuilt the incidence
+# hypergraph of every fiber.
+GTREES_SHA256 = {
+    "cherry_decreasing": "037d5f0b120bb6c19f8c0ea56b12b4bf72db23128e5357b39a9915712a9de384",
+    "cherry_increasing": "45731575064b2b0ae42133918b58ec8344662e65f7bd6931a50bf5d864f43b70",
+    "edge": "67cd64f2dbeaabc9261747bc7504a7113c0dcf9988d627f09d0293fc43379dce",
+    "fragile_root": "e774a1ce8134ad8ca69d25e7c8cd519ed3c8fba5c5203321d9ab05e58b32ba12",
+    "line3": "e181a4f5df797137a8dc0ccc316c33bb89333ab606e2136b99caaaba3b242c03",
+    "line4": "0f514cf49d4ed92fdb754d28e20d2bb19001777e94a955c142e69590ab68ec30",
+    "line5": "dd7aec5a67d8cda9ca5afad0bdb928f2fae1cda8a4b4d46bbaf402f559651971",
+    "line6": "b3135e441827b3b2cfd429d7c74dc647bc48869c728e8d333f9fb75c046330d4",
+    "loop": "8209dd08301e16ef1c75e5ecfea43f608790571d817f1eaf92d6d359064bd5b4",
+    "multiloop": "cb923fd36809e3561c17197e58f58d4aed7faa717db2e71beb5a7d659f8183f6",
+    "star4": "058d05e7f5465238754045488eacc09716662e939bac5cc5394ff7f8d7982d39",
+    "theta": "d5890f1176b65519c64c57ce6b6068febb24aa47dc992a3d4f5d1f726be83b2e",
+    "theta_loop": "0839cc27b7b1cfbecdb912b9586345cbb2eb5ea79b3f8f0d08cf5d332c3b7b27",
+    "triangle": "be950eb4be633d6a8efa3fdfe06bb65ca57cc39cf87b75d688cfa562df490ceb",
+}
+
+
+def test_graph_gtrees_bytes_match_recorded_digests(capsys):
+    for name, expected in GTREES_SHA256.items():
+        code, out, _ = run(capsys, "graph", "gtrees", path(f"graph_{name}.json"))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, name
+
+
 def test_hg_diamond_with_three_element_hyperedges(capsys, tmp_path):
     # {p0}({p3} {p2,p4,p1}) covers {p3,p0}({p2,p4,p1}) although the
     # hyperedge {p3,p0,p4} meets both the split block {p3} and the child.
@@ -437,6 +563,33 @@ def test_json_string_file_exits_one(capsys, tmp_path):
             assert "JSON" in err
 
 
+def test_non_object_json_file_exits_one(capsys, tmp_path):
+    for data in ("x", [1]):
+        target = write_json(tmp_path, data)
+        for argv, kind in ((("hg", "check"), "hypergraph"), (("graph", "validate"), "graph")):
+            code, _, err = run(capsys, *argv, target)
+            assert code == 1, (argv, data)
+            assert f"{kind} JSON must be an object" in err
+
+
+def test_non_utf8_file_exits_one(capsys, tmp_path):
+    target = tmp_path / "input.json"
+    target.write_bytes(b"\xff\xfe{}")
+    for argv in (("hg", "check"), ("graph", "validate")):
+        code, _, err = run(capsys, *argv, str(target))
+        assert code == 1, argv
+        assert "UTF-8" in err
+
+
+def test_deeply_nested_json_exits_one(capsys, tmp_path):
+    target = tmp_path / "input.json"
+    target.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (("hg", "check"), ("graph", "validate")):
+        code, _, err = run(capsys, *argv, str(target))
+        assert code == 1, argv
+        assert "nested too deeply" in err
+
+
 # -- work done per op -------------------------------------------------------------
 
 
@@ -482,3 +635,16 @@ def test_model_homology_verifies_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "model", "homology", path("graph_line4.json"))
     assert code == 0
     assert counts == {"verify_complex": 1, "dense": 0}
+
+
+def test_hg_poset_and_diamond_enumerate_once_without_splits(capsys, monkeypatch):
+    counts = count_calls(monkeypatch, enumerate_constructs, node_splits)
+    for argv in (("hg", "poset"), ("hg", "diamond")):
+        counts.update(enumerate_constructs=0, node_splits=0)
+        code, _, _ = run(capsys, *argv, path("hg_k4.json"))
+        assert code == 0
+        assert counts == {"enumerate_constructs": 1, "node_splits": 0}, argv
+    counts.update(enumerate_constructs=0)
+    code, out, _ = run(capsys, "hg", "poset", path("hg_k4.json"), "--max-faces", "3")
+    assert code == 0 and json.loads(out)["capped"]
+    assert counts == {"enumerate_constructs": 1, "node_splits": 0}

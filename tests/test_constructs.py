@@ -12,6 +12,7 @@ from hgpoly.constructs import (
     enumerate_constructs,
     face_poset,
     format_construct,
+    graded_constructs,
     is_construct,
     rank,
     split,
@@ -131,6 +132,17 @@ def test_enumeration_order_deterministic():
     ranks = [len(H3P) - c.num_nodes() for c in cs]
     assert ranks == sorted(ranks, reverse=True)
     assert list(cs) == sorted(cs, key=lambda c: (c.num_nodes(), c.sort_key()))
+
+
+def test_graded_constructs_groups_the_enumeration_by_rank():
+    for h in (H2, H3P, H3K, k5_minus()):
+        grades = graded_constructs(h)
+        assert len(grades) == len(h)
+        flat = [c for grade in reversed(grades) for c in grade]
+        assert flat == list(enumerate_constructs(h))
+        for k, grade in enumerate(grades):
+            assert all(rank(c, h) == k for c in grade)
+            assert all(c.num_nodes() == len(c.decorations()) for c in grade)
 
 
 # -- validation -------------------------------------------------------------------
