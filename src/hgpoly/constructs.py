@@ -5,6 +5,13 @@ the recursion: the root carries a nonempty subset X, and for X proper the
 subtrees are constructs of the connected components left after removing X.
 Constructs are the faces of the hypergraph polytope; the covering relation
 of the face poset is a single edge collapse.
+
+Inside this module and `minimodel` a face is its nested set (Dosen-Petric,
+"Hypergraph polytopes"; Postnikov, "Permutohedra, associahedra, and
+beyond", section 7): the subtree union of every node, `tubes(c)`, decoded
+by `from_tubes`.  A split adds one tube, a collapse removes one non-root
+tube, and the face order is reverse containment.  `Construct` trees carry
+the basis, the output and the public API.
 """
 
 from __future__ import annotations
@@ -199,6 +206,26 @@ def _product(option_lists):
             yield (item,) + rest
 
 
+# -- nested sets --------------------------------------------------------------
+
+
+def tubes(c: Construct) -> frozenset:
+    """The nested set of `c`: the subtree union of every node."""
+    return frozenset(node.subtree_union for node in c.nodes())
+
+
+def from_tubes(nested) -> Construct:
+    """The construct whose nested set is `nested`, a laminar family with a
+    largest member.  A tube's children are its maximal proper sub-tubes and
+    its decoration is what they leave."""
+    pending = {}
+    for tube in sorted(nested, key=_popcount):
+        children = [pending.pop(t) for t in list(pending) if not t & ~tube]
+        pending[tube] = Construct(tube - sum(k.subtree_union for k in children), children)
+    (root,) = pending.values()
+    return root
+
+
 # -- splits and collapses -----------------------------------------------------
 
 
@@ -214,49 +241,39 @@ def split(h: Hypergraph, c: Construct, node: int, x: int, y: int) -> Construct:
     under X.  Because the children of a construct are the components of
     S minus (X | Y), a hyperedge inside S minus X that misses Y lies inside
     one child, so the second condition always holds and only K is computed.
+    K is the one tube the split adds to the nested set of `c`.
     Raises InvalidSplitError when Y meets more than one component.  The
     whole-tree validator `is_construct` stays the oracle for this rule.
     """
     if x | y != node or x & y or x == 0 or y == 0:
         raise InputError("x, y must partition the node decoration")
-    path = _path_to(c, node)
-    below = _split_local(_edges_meeting(h, path[-1]), path[-1], x, y)
-    if below is None:
+    target = next((n for n in c.nodes() if n.decoration == node), None)
+    if target is None:
+        raise InputError("no node with the given decoration")
+    tube = _split_local(_edges_meeting(h, target), target, x, y)
+    if tube is None:
         raise InvalidSplitError(
             f"splitting {h.labels_of(node)} into {h.labels_of(x)}|{h.labels_of(y)} "
             "does not yield a construct"
         )
-    return _rebuild(path, below)
+    return from_tubes(tubes(c) | {tube})
 
 
-def node_splits(h: Hypergraph, c: Construct, node: int):
-    """Yield (x, y, face) for every valid split of the node `node` of `c`.
+def node_splits(h: Hypergraph, target: Construct):
+    """Yield (x, y, tube) for every valid split of the node `target` of a
+    construct.
 
-    Parent blocks x run over the proper nonempty submasks of the node in
-    descending order; each face is what `split(h, c, node, x, y)` returns.
+    Parent blocks x run over the proper nonempty submasks of its decoration
+    in descending order; `tube` is the component K that the split adds to
+    the nested set (see `split`).
     """
-    path = _path_to(c, node)
-    target = path[-1]
     edges = _edges_meeting(h, target)
-    for x in _submasks(node):
-        y = node ^ x
+    for x in _submasks(target.decoration):
+        y = target.decoration ^ x
         if y:
-            below = _split_local(edges, target, x, y)
-            if below is not None:
-                yield x, y, _rebuild(path, below)
-
-
-def _path_to(c: Construct, node: int) -> list:
-    """Nodes from the root of `c` down to the node decorated `node`."""
-    path = [c]
-    while path[-1].decoration != node:
-        for child in path[-1].children:
-            if child.subtree_union & node == node:
-                path.append(child)
-                break
-        else:
-            raise InputError("no node with the given decoration")
-    return path
+            tube = _split_local(edges, target, x, y)
+            if tube is not None:
+                yield x, y, tube
 
 
 def _edges_meeting(h: Hypergraph, target: Construct) -> list:
@@ -266,65 +283,36 @@ def _edges_meeting(h: Hypergraph, target: Construct) -> list:
 
 
 def _split_local(edges, target: Construct, x: int, y: int):
-    """Subtree replacing `target` after splitting it into x | y, or None.
+    """The component K of S minus x that holds y, or None if y meets another.
 
-    Grows the component K of y's lowest vertex inside S minus x.  Hyperedges
-    that miss the decoration lie inside one child and each child is
-    connected, so the hyperedges in `edges` that avoid x together with the
-    child subtree unions connect exactly what the restriction to S minus x
-    connects."""
+    Grows the component of y's lowest vertex.  Hyperedges that miss the
+    decoration lie inside one child and each child is connected, so the
+    hyperedges in `edges` that avoid x together with the child subtree
+    unions connect exactly what the restriction to S minus x connects."""
     links = [m for m in edges if not m & x]
     links += [child.subtree_union for child in target.children]
     reached = _closure(links, y & -y)
-    if y & ~reached:
-        return None
-    under_x, under_y = [], []
-    for child in target.children:
-        (under_y if child.subtree_union & reached else under_x).append(child)
-    return Construct(x, under_x + [Construct(y, under_y)])
-
-
-def _rebuild(path: list, below: Construct) -> Construct:
-    """The tree of `path[0]` with the node `path[-1]` replaced by `below`."""
-    for parent, old in zip(reversed(path[:-1]), reversed(path[1:])):
-        children = [below if child is old else child for child in parent.children]
-        below = Construct(parent.decoration, children)
-    return below
+    return None if y & ~reached else reached
 
 
 def collapse(c: Construct, child_decoration: int) -> Construct:
-    """Merge the node `child_decoration` into its parent; always valid."""
-    result = _collapse_below(c, child_decoration, at_root=True)
-    if result is None:
-        raise InputError("no non-root node with the given decoration")
-    return result
-
-
-def _collapse_below(c: Construct, target: int, at_root=False):
-    for i, child in enumerate(c.children):
-        if child.decoration == target:
-            merged = Construct(
-                c.decoration | child.decoration,
-                c.children[:i] + c.children[i + 1 :] + child.children,
-            )
-            return merged
-        if child.subtree_union & target == target:
-            inner = _collapse_below(child, target)
-            if inner is None:
-                return None
-            children = list(c.children)
-            children[i] = inner
-            return Construct(c.decoration, children)
-    return None
+    """Merge the node `child_decoration` into its parent; always valid.
+    The collapse removes that node's tube from the nested set."""
+    for node in c.nodes():
+        if node.decoration == child_decoration and node is not c:
+            return from_tubes(tubes(c) - {node.subtree_union})
+    raise InputError("no non-root node with the given decoration")
 
 
 def covers_of(h: Hypergraph, c: Construct) -> list:
     """Constructs covered by `c`: every valid single split, each once."""
-    out = []
-    for node in c.decorations():
-        if _popcount(node) >= 2:
-            out.extend(face for _, _, face in node_splits(h, c, node))
-    return out
+    nested = tubes(c)
+    return [
+        from_tubes(nested | {tube})
+        for node in c.nodes()
+        if _popcount(node.decoration) >= 2
+        for _, _, tube in node_splits(h, node)
+    ]
 
 
 # -- face poset ---------------------------------------------------------------
@@ -335,23 +323,24 @@ class FacePoset:
 
     Built from `graded_constructs(h)`.  Faces are indexed 0..n-1 in the
     canonical order (rank descending, then tree order); the bottom face has
-    index n and rank -1.  The covers come from collapses: a face lies under
-    the collapse of each of its non-root nodes into its parent (always a
-    construct), and the bottom lies under every rank-0 face.  Sorted
-    `(lower, upper)` index pairs.
+    index n and rank -1.  Faces are keyed by their nested sets and ordered
+    by reverse containment: a face lies under each face its nested set
+    loses one non-root tube to (a collapse), and the bottom lies under
+    every rank-0 face.  Sorted `(lower, upper)` index pairs.
     """
 
     def __init__(self, h: Hypergraph, grades):
         self.hypergraph = h
         self.faces = tuple(c for grade in reversed(grades) for c in grade)
         self.bottom = len(self.faces)
-        self._index = {c: i for i, c in enumerate(self.faces)}
+        self._tubes = [tubes(c) for c in self.faces]
+        self._index = {nested: i for i, nested in enumerate(self._tubes)}
         self._ranks = [len(h) - c.size for c in self.faces]
-        covers = [(self.bottom, self._index[c]) for c in grades[0]]
-        for i, c in enumerate(self.faces):
-            for node in c.nodes():
-                if node is not c:
-                    covers.append((i, self._index[collapse(c, node.decoration)]))
+        covers = [(self.bottom, i) for i, r in enumerate(self._ranks) if r == 0]
+        for i, nested in enumerate(self._tubes):
+            for tube in nested:
+                if tube != h.ground_mask:
+                    covers.append((i, self._index[nested - {tube}]))
         self.covers = tuple(sorted(covers))
         self._up = {i: [] for i in range(len(self.faces) + 1)}
         self._down = {i: [] for i in range(len(self.faces) + 1)}
@@ -360,7 +349,7 @@ class FacePoset:
             self._down[high].append(low)
 
     def index(self, c: Construct) -> int:
-        return self._index[c]
+        return self._index[tubes(c)]
 
     def rank_of(self, i: int) -> int:
         return -1 if i == self.bottom else self._ranks[i]
@@ -382,21 +371,10 @@ class FacePoset:
                     yield i, a, b, set(self._up[a]) & set(self._up[b])
 
     def le(self, i: int, j: int) -> bool:
-        if i == j:
+        """Face i lies under face j: j's nested set is part of i's."""
+        if i == self.bottom or i == j:
             return True
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in self._up[a]:
-                    if b == j:
-                        return True
-                    if b not in seen and self.rank_of(b) <= self.rank_of(j):
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return False
+        return j != self.bottom and self._tubes[j] <= self._tubes[i]
 
     def f_vector(self) -> tuple:
         top = max(self._ranks, default=-1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .constructs import Construct, graded_constructs
+from .constructs import Construct, graded_constructs, tubes
 from .errors import CapacityError, InfeasibleError, InputError, NotConvexError
 from .hypergraph import Hypergraph, _popcount, _submasks, require_connected
 
@@ -177,14 +177,8 @@ def core_hrep(h: Hypergraph, g: CooperativeGame) -> HRepresentation:
 
 
 def construct_face_support(c: Construct) -> tuple:
-    """Subtree decoration unions, one per node (the tight coalitions)."""
-    out = []
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        out.append(node.subtree_union)
-        stack.extend(node.children)
-    return tuple(sorted(out, key=lambda m: (-_popcount(m), m)))
+    """The nested set of `c` (the tight coalitions), largest tubes first."""
+    return tuple(sorted(tubes(c), key=lambda m: (-_popcount(m), m)))
 
 
 class Realization:

@@ -169,6 +169,8 @@ class Graph:
             vertices = data["vertices"]
             if not isinstance(vertices, list):
                 raise ValidationError("graph JSON 'vertices' must be a list")
+            if not isinstance(data["flags"], dict):
+                raise ValidationError("graph JSON 'flags' must be an object")
             flags = [data["flags"][v] for v in vertices]
             legs = data.get("legs", [])
             for labels in flags + [legs]:

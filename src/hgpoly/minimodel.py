@@ -6,6 +6,12 @@ sibling subtrees in descending order of their minimal edge (the
 lexicographic level choice); the differential splits one node at a time and
 re-sorts with Koszul signs.
 
+The differential works on nested sets (see `constructs`): a split of the
+node W into X | Y adds the one tube K, and the re-sort only moves Y and
+the child subtrees of W, so its sign is read off those children alone
+(`signed_splits`).  Rows are found by nested set; `boundary_of_basis`
+decodes the faces for callers that want trees.
+
 Sign convention, fixed once per build and recorded in serialized output:
 splitting a node W into a parent block X and child block Y contributes
 
@@ -22,12 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructs import Construct, _bit_positions, _submasks, graded_constructs
+from .constructs import (
+    Construct,
+    _submasks,
+    from_tubes,
+    graded_constructs,
+    node_splits,
+    tubes,
+)
 from .errors import CompatibilityError, InputError
 from .graphs import Graph, _translate, canonical_contraction, incidence_hypergraph
 from .homology import dense
 from .hypergraph import Hypergraph, _popcount
-from . import constructs as _constructs
 
 
 @dataclass(frozen=True)
@@ -75,26 +87,20 @@ def shuffle_sign(ordered_edges, part_one, part_two) -> int:
     two = set(part_two)
     if one & two or one | two != set(edges) or len(one) + len(two) != len(edges):
         raise InputError("the two parts must partition the edge set")
-    target = [e for e in edges if e in one] + [e for e in edges if e in two]
-    return _permutation_sign(edges, target)
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    return _mask_shuffle_sign(sum(bit[e] for e in one), sum(bit[e] for e in two))
 
 
-def _permutation_sign(source, target) -> int:
-    index = {e: i for i, e in enumerate(source)}
-    perm = [index[e] for e in target]
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def _mask_shuffle_sign(whole: int, first: int, second: int) -> int:
-    """shuffle_sign on bit positions; `first`|`second` must equal `whole`."""
-    edges = _bit_positions(whole)
-    target = [e for e in edges if first >> e & 1] + [e for e in edges if second >> e & 1]
-    return _permutation_sign(edges, target)
+def _mask_shuffle_sign(first: int, second: int) -> int:
+    """shuffle_sign on bit positions: each bit of `first` passes the lower
+    bits of `second`."""
+    parity = 0
+    rest = first
+    while rest:
+        low = rest & -rest
+        parity += _popcount(second & (low - 1))
+        rest ^= low
+    return -1 if parity % 2 else 1
 
 
 def generator_boundary(g: Graph, convention: SignConvention = DEFAULT_CONVENTION):
@@ -115,7 +121,7 @@ def generator_boundary(g: Graph, convention: SignConvention = DEFAULT_CONVENTION
             continue
         quotient_mask = full & ~fiber_mask
         sign = convention.generator_sign(_popcount(quotient_mask))
-        sign *= _mask_shuffle_sign(full, quotient_mask, fiber_mask)
+        sign *= _mask_shuffle_sign(quotient_mask, fiber_mask)
         out.append(
             (
                 tuple(h.labels_of(fiber_mask)),
@@ -201,18 +207,14 @@ class FreeComponent:
 # -- the differential -----------------------------------------------------------
 
 
-def _factors(c: Construct):
-    """Decorations in root-first order, sibling subtrees by descending
-    minimal element (the level arrangement used for every representative)."""
-    out = []
-
-    def walk(node):
-        out.append(node.decoration)
-        for child in reversed(node.children):
-            walk(child)
-
-    walk(c)
-    return out
+def _arranged(c: Construct):
+    """Nodes in root-first order, sibling subtrees by descending minimal
+    element (the level arrangement used for every representative)."""
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
 
 
 def _koszul_sort_sign(arrangement, target) -> int:
@@ -233,29 +235,48 @@ def _koszul_sort_sign(arrangement, target) -> int:
 
 
 def _graded_factors(c: Construct):
-    return [(dec, _popcount(dec) - 1) for dec in _factors(c)]
+    return [(n.decoration, _popcount(n.decoration) - 1) for n in _arranged(c)]
+
+
+def signed_splits(h: Hypergraph, c: Construct, convention: SignConvention):
+    """Boundary of e_C as (nested set, sign) pairs, one per valid split.
+
+    Splitting the node W into X | Y adds the tube K (`node_splits`), and the
+    sign is local to W.  With deg(V) = |V| - (nodes of V) for a child
+    subtree V and low(V) its lowest vertex, the Koszul parity of moving Y
+    and the children of W into the arrangement of the new face is the sum,
+    over the children V that stay under X with low(V) > low(K), of
+    deg(V) * (deg(Y) + sum of deg(U) over the children U that move under Y
+    with low(U) > low(V)).  The parity of the factors before W and the
+    generator sign of W -> X | Y complete it."""
+    nested = tubes(c)
+    out = []
+    prefix = 0
+    for node in _arranged(c):
+        width = _popcount(node.decoration)
+        if width >= 2:
+            kids = []
+            for kid in node.children:
+                union = kid.subtree_union
+                kids.append((union, union & -union, _popcount(union) - kid.size))
+            for x, y, tube in node_splits(h, node):
+                parity = prefix
+                low_k = tube & -tube
+                for union, low, deg in kids:
+                    if deg and low > low_k and not union & tube:
+                        moved = sum(d for u, l, d in kids if u & tube and l > low)
+                        parity += deg * (_popcount(y) - 1 + moved)
+                sign = -1 if parity % 2 else 1
+                sign *= convention.generator_sign(_popcount(x))
+                sign *= _mask_shuffle_sign(x, y)
+                out.append((nested | {tube}, sign))
+        prefix += width - 1
+    return out
 
 
 def boundary_of_basis(h: Hypergraph, c: Construct, convention: SignConvention):
     """Signed covered faces of e_C; every coefficient is +1 or -1."""
-    facs = _graded_factors(c)
-    out = []
-    prefix = 0
-    for i, (node, deg) in enumerate(facs):
-        if deg >= 1:
-            for x, y, face in _constructs.node_splits(h, c, node):
-                sign = -1 if prefix % 2 else 1
-                sign *= convention.generator_sign(_popcount(x))
-                sign *= _mask_shuffle_sign(node, x, y)
-                arrangement = (
-                    facs[:i]
-                    + [(x, _popcount(x) - 1), (y, _popcount(y) - 1)]
-                    + facs[i + 1 :]
-                )
-                sign *= _koszul_sort_sign(arrangement, _graded_factors(face))
-                out.append((face, sign))
-        prefix += deg
-    return out
+    return [(from_tubes(nested), sign) for nested, sign in signed_splits(h, c, convention)]
 
 
 def boundary(
@@ -291,13 +312,11 @@ def boundary_matrix(
 
 def grade_columns(h: Hypergraph, rows, cols, convention: SignConvention) -> list:
     """Boundary of each construct of `cols` as (row, sign) pairs indexing the
-    basis `rows`, in increasing row order, one `boundary_of_basis` call per
-    column; the covered faces themselves are not kept."""
-    row_index = {c: i for i, c in enumerate(rows)}
+    basis `rows`, in increasing row order, one `signed_splits` call per
+    column; rows are found by nested set, so no covered face is built."""
+    row_index = {tubes(c): i for i, c in enumerate(rows)}
     return [
-        sorted(
-            (row_index[face], sign) for face, sign in boundary_of_basis(h, c, convention)
-        )
+        sorted((row_index[nested], sign) for nested, sign in signed_splits(h, c, convention))
         for c in cols
     ]
 
@@ -365,9 +384,7 @@ def graft_chain(
             lifted_d = _translate(d, r.hypergraph, amb_h)
             path = _owner_path(lifted_c, ambient, amb_h, cc.quotient, target_vertex)
             grafted = _attach(lifted_c, path, lifted_d)
-            arrangement = [
-                (dec, _popcount(dec) - 1) for dec in _factors(lifted_c)
-            ] + [(dec, _popcount(dec) - 1) for dec in _factors(lifted_d)]
+            arrangement = _graded_factors(lifted_c) + _graded_factors(lifted_d)
             sign = _koszul_sort_sign(arrangement, _graded_factors(grafted))
             out_coeffs[grafted] = out_coeffs.get(grafted, Fraction(0)) + cv * dv * sign
     return FreeComponent(ambient, out_coeffs, amb_h)

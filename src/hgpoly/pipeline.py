@@ -18,7 +18,7 @@ def signed_covers(
     grouped by grade in canonical order, and their chain complex, whose
     `columns[k - 1]` hold the boundary of each construct of grade k as (row,
     sign) pairs indexing grade k - 1.  The constructs are enumerated once
-    and `boundary_of_basis` runs once per construct of positive grade."""
+    and `signed_splits` runs once per construct of positive grade."""
     h = incidence_hypergraph(g)
     grades = graded_constructs(h)
     bases = [[format_construct(c, h) for c in grade] for grade in grades]

@@ -37,6 +37,8 @@ class GenusGrading:
 
 
 def _is_nonnegative_integer(value) -> bool:
+    if isinstance(value, bool):
+        return False
     try:
         return int(value) == value >= 0
     except (TypeError, ValueError, OverflowError):

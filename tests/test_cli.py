@@ -4,11 +4,12 @@ import sys
 from pathlib import Path
 
 from hgpoly.cli import main
-from hgpoly.constructs import covers_of, enumerate_constructs, node_splits
+from hgpoly import constructs
+from hgpoly.constructs import Construct, covers_of, enumerate_constructs, node_splits
 from hgpoly.corpus import corpus_raw
 from hgpoly.graphs import Graph, incidence_hypergraph
 from hgpoly.homology import dense, verify_complex
-from hgpoly.minimodel import boundary_of_basis
+from hgpoly.minimodel import boundary_of_basis, signed_splits
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hgpoly" / "corpus"
 
@@ -536,12 +537,21 @@ def test_list_flag_label_exits_one(capsys, tmp_path):
 
 
 def test_non_integer_genus_exits_one(capsys, tmp_path):
-    for value in ("x", [1]):
+    for value in ("x", [1], True, False):
         raw = corpus_raw("graph", "line3")
         raw["genus"] = {"1": 0, "2": value, "3": 0}
         code, _, err = run(capsys, "variants", "classify", write_json(tmp_path, raw))
         assert code == 1
         assert "vertex genera must be nonnegative integers" in err
+
+
+def test_non_object_flags_exit_one(capsys, tmp_path):
+    for value in ([], "x", 5, None):
+        raw = corpus_raw("graph", "line3")
+        raw["flags"] = value
+        code, _, err = run(capsys, "graph", "validate", write_json(tmp_path, raw))
+        assert code == 1, value
+        assert err == "error: graph JSON 'flags' must be an object\n"
 
 
 def test_malformed_orientation_exits_one(capsys, tmp_path):
@@ -616,14 +626,20 @@ def test_model_check_enumerates_once(capsys, monkeypatch):
     h = incidence_hypergraph(Graph.from_json(corpus_raw("graph", "line4")))
     positive = sum(1 for c in enumerate_constructs(h) if c.num_nodes() < len(h))
     functions = (
-        enumerate_constructs, boundary_of_basis, covers_of, verify_complex, dense
+        enumerate_constructs,
+        signed_splits,
+        boundary_of_basis,
+        covers_of,
+        verify_complex,
+        dense,
     )
     counts = count_calls(monkeypatch, *functions)
     code, _, _ = run(capsys, "model", "check", path("graph_line4.json"))
     assert code == 0
     assert counts == {
         "enumerate_constructs": 1,
-        "boundary_of_basis": positive,
+        "signed_splits": positive,
+        "boundary_of_basis": 0,
         "covers_of": 0,
         "verify_complex": 1,
         "dense": 0,
@@ -635,6 +651,28 @@ def test_model_homology_verifies_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "model", "homology", path("graph_line4.json"))
     assert code == 0
     assert counts == {"verify_complex": 1, "dense": 0}
+
+
+def test_model_homology_builds_no_construct_after_enumeration(capsys, monkeypatch):
+    built = []
+    enumerated = []
+    construct_init = Construct.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(bool(enumerated))
+        construct_init(self, *args, **kwargs)
+
+    def marked_enumeration(h):
+        faces = enumerate_constructs(h)
+        enumerated.append(len(faces))
+        return faces
+
+    monkeypatch.setattr(Construct, "__init__", counted_init)
+    monkeypatch.setattr(constructs, "enumerate_constructs", marked_enumeration)
+    code, _, _ = run(capsys, "model", "homology", path("graph_line4.json"))
+    assert code == 0
+    assert enumerated and built
+    assert True not in built
 
 
 def test_hg_poset_and_diamond_enumerate_once_without_splits(capsys, monkeypatch):

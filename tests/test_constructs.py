@@ -12,10 +12,12 @@ from hgpoly.constructs import (
     enumerate_constructs,
     face_poset,
     format_construct,
+    from_tubes,
     graded_constructs,
     is_construct,
     rank,
     split,
+    tubes,
 )
 from hgpoly.errors import DisconnectedError, InputError, InvalidSplitError
 from hgpoly.hypergraph import Hypergraph
@@ -415,3 +417,42 @@ def test_covers_equal_one_step_collapses_on_random_hypergraphs():
     rng = random.Random(2019)
     for _ in range(16):
         assert_covers_are_one_step_collapses(random_small_hypergraph(rng))
+
+
+# -- nested sets ------------------------------------------------------------------
+
+
+def assert_tubes_encode_faces(h):
+    faces = enumerate_constructs(h)
+    for c in faces:
+        assert from_tubes(tubes(c)) == c
+        assert h.ground_mask in tubes(c) and len(tubes(c)) == c.num_nodes()
+    assert len({tubes(c) for c in faces}) == len(faces)
+
+
+def test_tubes_encode_faces_on_corpus(hypergraphs, graphs):
+    from hgpoly.graphs import incidence_hypergraph
+
+    for h in hypergraphs.values():
+        assert_tubes_encode_faces(h)
+    for g in graphs.values():
+        if g.edges and len(g.edges) <= 5:
+            assert_tubes_encode_faces(incidence_hypergraph(g))
+
+
+def test_tubes_encode_faces_on_random_hypergraphs():
+    rng = random.Random(1009)
+    for _ in range(12):
+        assert_tubes_encode_faces(random_small_hypergraph(rng))
+
+
+def test_poset_le_is_the_closure_of_covers(hypergraphs):
+    for h in hypergraphs.values():
+        poset = face_poset(h)
+        size = poset.bottom + 1
+        above = [{i} for i in range(size)]
+        for i in sorted(range(size), key=poset.rank_of, reverse=True):
+            for j in poset.upper_covers(i):
+                above[i] |= above[j]
+        for i in range(size):
+            assert {j for j in range(size) if poset.le(i, j)} == above[i], (h, i)

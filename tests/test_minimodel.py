@@ -1,15 +1,26 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from hgpoly.constructs import Construct, covers_of, enumerate_constructs
+from hgpoly.constructs import (
+    Construct,
+    covers_of,
+    enumerate_constructs,
+    from_tubes,
+    node_splits,
+    tubes,
+)
 from hgpoly.errors import CompatibilityError, InputError
 from hgpoly.graphs import canonical_contraction, incidence_hypergraph
+from hgpoly.hypergraph import Hypergraph
 from hgpoly.minimodel import (
     DEFAULT_CONVENTION,
     FreeComponent,
     SignConvention,
+    _graded_factors,
+    _koszul_sort_sign,
     boundary,
     boundary_matrix,
     boundary_of_basis,
@@ -44,6 +55,19 @@ def test_shuffle_four_elements():
 def test_shuffle_rejects_non_partition():
     with pytest.raises(InputError):
         shuffle_sign(("a", "b"), {"a"}, {"a", "b"})
+
+
+def test_shuffle_sign_matches_the_permutation_parity():
+    rng = random.Random(4)
+    for n in range(1, 8):
+        edges = [f"e{i}" for i in range(n)]
+        rng.shuffle(edges)
+        for _ in range(10):
+            one = {e for e in edges if rng.random() < 0.5}
+            target = [e for e in edges if e in one] + [e for e in edges if e not in one]
+            perm = [edges.index(e) for e in target]
+            swaps = sum(a > b for a, b in itertools.combinations(perm, 2))
+            assert shuffle_sign(edges, one, set(edges) - one) == (-1) ** swaps
 
 
 def test_det_basis(graphs):
@@ -302,3 +326,87 @@ def test_graft_bilinear(graphs):
         graft_chain(FreeComponent.basis(cc.quotient, cs[1]), r, g, ["a"]).scaled(-1)
     )
     assert out == parts
+
+
+# -- the local sign rule against the global re-sort ----------------------------
+
+
+def resorted_boundary(h, c, convention):
+    """boundary_of_basis with each sign taken from the Koszul re-sort of the
+    whole factor list into the factor order of the covered face."""
+    factors = _graded_factors(c)
+    nodes = {node.decoration: node for node in c.nodes()}
+    out = []
+    prefix = 0
+    for i, (dec, deg) in enumerate(factors):
+        if deg >= 1:
+            for x, y, tube in node_splits(h, nodes[dec]):
+                face = from_tubes(tubes(c) | {tube})
+                arrangement = (
+                    factors[:i]
+                    + [(x, bin(x).count("1") - 1), (y, bin(y).count("1") - 1)]
+                    + factors[i + 1 :]
+                )
+                passes = sum(
+                    1 for a in range(dec.bit_length()) if x >> a & 1
+                    for b in range(a) if y >> b & 1
+                )
+                sign = (-1) ** (prefix + passes)
+                sign *= convention.generator_sign(bin(x).count("1"))
+                sign *= _koszul_sort_sign(arrangement, _graded_factors(face))
+                out.append((face, sign))
+        prefix += deg
+    return out
+
+
+def assert_local_signs_match_resort(h):
+    faces = enumerate_constructs(h)
+    for convention in (DEFAULT_CONVENTION, ALT):
+        for c in faces:
+            assert boundary_of_basis(h, c, convention) == resorted_boundary(
+                h, c, convention
+            ), (h, c, convention.name)
+    return sum(len(boundary_of_basis(h, c, ALT)) for c in faces)
+
+
+def test_local_signs_match_resort_on_corpus(graphs):
+    terms = 0
+    for g in graphs.values():
+        if g.edges:
+            terms += assert_local_signs_match_resort(incidence_hypergraph(g))
+    assert terms > 10_000
+
+
+def test_local_signs_match_resort_on_fuzz_graphs():
+    from test_fuzz import random_graph
+
+    rng = random.Random(5150)
+    for _ in range(20):
+        g = random_graph(rng)
+        if g.edges and len(g.edges) <= 5:
+            assert_local_signs_match_resort(incidence_hypergraph(g))
+
+
+def test_local_signs_match_resort_on_three_element_hyperedges():
+    from test_constructs import random_small_hypergraph
+
+    rng = random.Random(811)
+    hypergraphs = [random_small_hypergraph(rng) for _ in range(10)]
+    assert any(bin(m).count("1") == 3 for h in hypergraphs for m in h.edges)
+    for h in hypergraphs:
+        assert_local_signs_match_resort(h)
+
+
+def test_local_signs_match_resort_when_moved_children_pass_kept_ones():
+    # A path whose labels run 2-1-3-0-4-5.  Splitting the root {0,3} of the
+    # construct {0,3}({1,2} {4,5}) into {3} | {0} keeps {1,2} under {3} and
+    # moves {4,5} under {0}, and the lowest vertices interleave as
+    # low(K) = 0 < low({1,2}) = 1 < low({4,5}) = 4, so both odd child
+    # degrees enter the sign.
+    labels = [f"p{i}" for i in range(6)]
+    path = [["p2", "p1"], ["p1", "p3"], ["p3", "p0"], ["p0", "p4"], ["p4", "p5"]]
+    h = Hypergraph(labels, [[v] for v in labels] + path, auto_singletons=False)
+    kept, moved = Construct(h.mask_of(["p1", "p2"])), Construct(h.mask_of(["p4", "p5"]))
+    c = Construct(h.mask_of(["p0", "p3"]), [kept, moved])
+    assert c in enumerate_constructs(h)
+    assert_local_signs_match_resort(h)
