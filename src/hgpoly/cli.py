@@ -15,7 +15,7 @@ from pathlib import Path
 from . import constructs as _constructs
 from . import games as _games
 from .errors import InputError, PropertyViolation
-from .graphs import Graph, alpha, incidence_hypergraph
+from .graphs import Graph, graph_trees, incidence_hypergraph
 from .hypergraph import Hypergraph
 from .minimodel import SignConvention
 from .pipeline import check_report, complex_for_graph, homology_report
@@ -178,7 +178,7 @@ def _graph_gtrees(args):
     g, _ = _load_graph(args.input)
     h = incidence_hypergraph(g)
     items = _constructs.enumerate_constructs(h)
-    trees = [alpha(g, c) for c in items]
+    trees = graph_trees(g, items)
     if args.count:
         by_vertices: dict = {}
         for t in trees:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from .errors import (
     CapacityError,
-    DisconnectedError,
     InputError,
     InvalidSplitError,
 )

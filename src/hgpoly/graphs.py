@@ -167,8 +167,8 @@ class Graph:
             raise ValidationError("graph JSON must be an object")
         try:
             vertices = data["vertices"]
-            if not isinstance(vertices, list):
-                raise ValidationError("graph JSON 'vertices' must be a list")
+            if not _is_label_list(vertices):
+                raise ValidationError("graph JSON 'vertices' must be a list of strings")
             if not isinstance(data["flags"], dict):
                 raise ValidationError("graph JSON 'flags' must be an object")
             flags = [data["flags"][v] for v in vertices]
@@ -226,7 +226,6 @@ def subgraph_from_edges(g: Graph, edge_names) -> Graph:
     if not _edges_connected(edges):
         raise DisconnectedError("edge set does not span a connected subgraph")
     verts = [v for v in g.vertices if any(v in e.vertex_set() for e in edges)]
-    keep_pairs = {frozenset(e.flags) for e in edges}
     involution = {}
     for e in edges:
         a, b = e.flags
@@ -341,13 +340,7 @@ def canonical_contraction(g: Graph, edge_names, vertex_subset=None) -> Canonical
             new_flags.append(merged)
         else:
             new_flags.append(list(g.flags_at(v)))
-    involution = {}
-    for e in g.edges:
-        if frozenset(e.flags) in {frozenset(x.flags) for x in fiber.edges}:
-            continue
-        a, b = e.flags
-        involution[a] = b
-        involution[b] = a
+    involution = {f: s for f, s in g.involution.items() if f not in contracted}
     quotient = Graph(new_vertices, new_flags, involution, g.legs)
     vertex_map = {v: (vmin if v in vset else v) for v in g.vertices}
     flag_map = {f: f for f in quotient.flag_list}
@@ -574,37 +567,46 @@ def _graft(s: GraphTree, r: GraphTree, leaf: str, ground_pos) -> GraphTree:
 # -- the construct correspondence ----------------------------------------------
 
 
-def ambient_edge_names(g: Graph, sub: Graph) -> list:
-    """Names, in `g`, of the internal edges of `sub` (matched by flag pair)."""
-    return [g.edge_by_pair(e.flags).name for e in sub.edges]
-
-
 def alpha(g: Graph, c: Construct) -> GraphTree:
     """Graph-tree associated to a construct of the incidence hypergraph."""
-    h = incidence_hypergraph(g)
-    if not c.children and c.decoration != h.ground_mask:
-        raise InputError("childless construct must carry every edge")
-    return _alpha(g, h, g, c)
+    return graph_trees(g, [c])[0]
 
 
-def _alpha(g: Graph, h: Hypergraph, sub: Graph, c: Construct) -> GraphTree:
-    """alpha of the subtree `c` over the subgraph `sub` of `g` it spans.
+def graph_trees(g: Graph, constructs) -> list:
+    """`alpha` of each construct in the list; bit i of a decoration is
+    `g.edges[i]`.  A node's graph is the fiber of its subtree union with its
+    children's fibers contracted in turn, so one call builds each fiber once
+    per edge mask, each node graph once per (subtree union, child unions)
+    and each `GraphTree` once per distinct subtree."""
+    full = (1 << len(g.edges)) - 1
+    fibers = {full: g}
+    node_graphs = {}
+    trees = {}
 
-    `c` keeps the decorations of `h`, the incidence hypergraph of `g`: a
-    subgraph of `sub` is the subgraph of `g` on the same edges, with the
-    same names, flags and orders, so every fiber is taken from `g`."""
-    if not c.children:
-        return corolla_tree(sub)
-    children = []
-    quotient = sub
-    for child in c.children:
-        names = list(h.labels_of(child.subtree_union))
-        fiber = subgraph_from_edges(g, names)
-        children.append((fiber.vertices[0], _alpha(g, h, fiber, child)))
-        pairs = [g.edge_by_name(n).flags for n in names]
-        current_names = [quotient.edge_by_pair(p).name for p in pairs]
-        quotient = canonical_contraction(quotient, current_names).quotient
-    return GraphTree(quotient, children, sub.vertices)
+    def fiber(mask):
+        if mask not in fibers:
+            names = [e.name for i, e in enumerate(g.edges) if mask >> i & 1]
+            fibers[mask] = subgraph_from_edges(g, names)
+        return fibers[mask]
+
+    for c in constructs:
+        if c.subtree_union != full:
+            raise InputError("construct must carry every edge")
+        for node in reversed(list(c.nodes())):  # children before parents
+            if node in trees:
+                continue
+            sub = fiber(node.subtree_union)
+            kids = [fiber(ch.subtree_union) for ch in node.children]
+            key = (node.subtree_union, tuple(ch.subtree_union for ch in node.children))
+            if key not in node_graphs:
+                quotient = sub
+                for kid in kids:
+                    names = [quotient.edge_by_pair(e.flags).name for e in kid.edges]
+                    quotient = canonical_contraction(quotient, names).quotient
+                node_graphs[key] = quotient
+            children = [(kid.vertices[0], trees[ch]) for kid, ch in zip(kids, node.children)]
+            trees[node] = GraphTree(node_graphs[key], children, sub.vertices)
+    return [trees[c] for c in constructs]
 
 
 def _translate(c: Construct, from_h: Hypergraph, to_h: Hypergraph) -> Construct:
@@ -615,16 +617,15 @@ def _translate(c: Construct, from_h: Hypergraph, to_h: Hypergraph) -> Construct:
 
 def alpha_inv(t: GraphTree, ambient: Graph | None = None) -> Construct:
     """Construct of the incidence hypergraph of gr(t), decorating each node
-    by the ambient names of its graph's internal edges."""
+    by the ambient bits of its graph's internal edges."""
     g = ambient if ambient is not None else gr(t)
-    h = incidence_hypergraph(g)
-    return _alpha_inv(t, g, h)
+    bits = {e: 1 << i for i, e in enumerate(g.edges)}
+    return _alpha_inv(t, g, bits)
 
 
-def _alpha_inv(t: GraphTree, g: Graph, h: Hypergraph) -> Construct:
-    names = ambient_edge_names(g, t.graph)
-    dec = h.mask_of(names)
-    return Construct(dec, [_alpha_inv(sub, g, h) for _, sub in t.children])
+def _alpha_inv(t: GraphTree, g: Graph, bits) -> Construct:
+    dec = sum(bits[g.edge_by_pair(e.flags)] for e in t.graph.edges)
+    return Construct(dec, [_alpha_inv(sub, g, bits) for _, sub in t.children])
 
 
 def enumerate_graph_trees(g: Graph) -> list:

@@ -220,7 +220,7 @@ class Hypergraph:
         if not isinstance(vertices, list) or not isinstance(hyperedges, list):
             raise ValidationError("hypergraph JSON 'vertices' and 'hyperedges' must be lists")
         for v in vertices:
-            if not isinstance(v, (str, int, float)):
+            if isinstance(v, bool) or not isinstance(v, (str, int, float)):
                 raise ValidationError(f"vertex label {v!r} is not a string or number")
         if not all(isinstance(e, list) for e in hyperedges):
             raise ValidationError("every hyperedge must be a list of vertex labels")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .constructs import FacePoset, format_construct, graded_constructs
 from .errors import InputError, PropertyViolation
-from .graphs import Graph, alpha, alpha_inv, incidence_hypergraph
+from .graphs import Graph, alpha_inv, graph_trees, incidence_hypergraph
 from .homology import ChainComplex, betti, diamond_sign_check
 from .minimodel import DEFAULT_CONVENTION, SignConvention, grade_columns
 
@@ -127,12 +127,12 @@ def check_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
                 {"construct": grades[1][j].to_json(h)},
             )
 
-    for grade in reversed(grades):
-        for c in grade:
-            if alpha_inv(alpha(g, c), g) != c:
-                raise PropertyViolation(
-                    "construct/graph-tree roundtrip fails", {"construct": c.to_json(h)}
-                )
+    faces = [c for grade in reversed(grades) for c in grade]
+    for c, t in zip(faces, graph_trees(g, faces)):
+        if alpha_inv(t, g) != c:
+            raise PropertyViolation(
+                "construct/graph-tree roundtrip fails", {"construct": c.to_json(h)}
+            )
 
     return {
         "d_squared_zero": True,

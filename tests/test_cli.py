@@ -7,7 +7,7 @@ from hgpoly.cli import main
 from hgpoly import constructs
 from hgpoly.constructs import Construct, covers_of, enumerate_constructs, node_splits
 from hgpoly.corpus import corpus_raw
-from hgpoly.graphs import Graph, incidence_hypergraph
+from hgpoly.graphs import Graph, canonical_contraction, incidence_hypergraph
 from hgpoly.homology import dense, verify_complex
 from hgpoly.minimodel import boundary_of_basis, signed_splits
 
@@ -499,6 +499,22 @@ def test_list_vertex_label_exits_one(capsys, tmp_path):
     assert "vertex label" in err
 
 
+def test_boolean_vertex_label_exits_one(capsys, tmp_path):
+    data = {"vertices": [True, 2], "hyperedges": [[True], [2], [True, 2]]}
+    code, _, err = run(capsys, "hg", "check", write_json(tmp_path, data))
+    assert code == 1
+    assert err == "error: vertex label True is not a string or number\n"
+
+
+def test_non_string_graph_vertex_label_exits_one(capsys, tmp_path):
+    for value in ([["1"]], [1], [None]):
+        raw = corpus_raw("graph", "line3")
+        raw["vertices"] = value
+        code, _, err = run(capsys, "graph", "validate", write_json(tmp_path, raw))
+        assert code == 1, value
+        assert err == "error: graph JSON 'vertices' must be a list of strings\n"
+
+
 def test_non_numeric_game_value_exits_one(capsys, tmp_path):
     game = {"type": "table", "values": {"a": "1", "b": "lots", "a,b": "3"}}
     code, _, err = run(
@@ -644,6 +660,22 @@ def test_model_check_enumerates_once(capsys, monkeypatch):
         "verify_complex": 1,
         "dense": 0,
     }
+
+
+def test_model_check_builds_each_node_graph_once(capsys, monkeypatch):
+    h = incidence_hypergraph(Graph.from_json(corpus_raw("graph", "line6")))
+    faces = enumerate_constructs(h)
+    children = {
+        (n.subtree_union, n.decoration): len(n.children) for c in faces for n in c.nodes()
+    }
+    counts = count_calls(monkeypatch, incidence_hypergraph, canonical_contraction)
+    code, _, _ = run(capsys, "model", "check", path("graph_line6.json"))
+    assert code == 0
+    assert counts == {
+        "incidence_hypergraph": 1,
+        "canonical_contraction": sum(children.values()),
+    }
+    assert counts["canonical_contraction"] < len(faces)
 
 
 def test_model_homology_verifies_once(capsys, monkeypatch):

@@ -7,7 +7,7 @@ parallel edges, and legs, and must satisfy the same structural theorems.
 import random
 
 from hgpoly.constructs import check_diamond, covers_of, enumerate_constructs, face_poset
-from hgpoly.graphs import Graph, alpha, alpha_inv, canonical_contraction, gr, incidence_hypergraph
+from hgpoly.graphs import Graph, alpha, alpha_inv, canonical_contraction, gr, graph_trees, incidence_hypergraph
 from hgpoly.homology import betti, diamond_sign_check, verify_complex
 from hgpoly.minimodel import DEFAULT_CONVENTION, FreeComponent, boundary, boundary_of_basis, graft_chain, rho
 from hgpoly.pipeline import complex_for_graph, cover_signs
@@ -121,3 +121,19 @@ def test_cover_signs_poset_is_the_face_poset(graphs):
             fuzzed.append(g)
     for g in list(graphs.values()) + fuzzed:
         assert cover_signs(g)[0].covers == face_poset(incidence_hypergraph(g)).covers
+
+
+def test_graph_trees_is_alpha_of_each_face(graphs):
+    """One shared pass over all faces equals `alpha` on each face alone,
+    whose memo holds that face only, and inverts to the same faces."""
+    rng = random.Random(7707)
+    fuzzed = []
+    while len(fuzzed) < 20:
+        g = random_graph(rng)
+        if 1 <= len(g.edges) <= 5:
+            fuzzed.append(g)
+    for g in list(graphs.values()) + fuzzed:
+        faces = enumerate_constructs(incidence_hypergraph(g))
+        trees = graph_trees(g, faces)
+        assert trees == [alpha(g, c) for c in faces]
+        assert [alpha_inv(t, g) for t in trees] == list(faces)
