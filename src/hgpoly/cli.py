@@ -102,6 +102,8 @@ def _hg_constructs(args):
 
 
 def _hg_poset(args):
+    if args.max_faces < 0:
+        raise InputError(f"--max-faces must be at least 0, got {args.max_faces}")
     h = _load_hypergraph(args.input)
     grades = _constructs.graded_constructs(h)
     by_rank = [len(grade) for grade in grades]

@@ -8,7 +8,7 @@ from hgpoly import constructs
 from hgpoly.constructs import Construct, covers_of, enumerate_constructs, node_splits
 from hgpoly.corpus import corpus_raw
 from hgpoly.graphs import Graph, canonical_contraction, incidence_hypergraph
-from hgpoly.homology import dense, verify_complex
+from hgpoly.homology import _rank, _sparse_rows, dense, verify_complex
 from hgpoly.minimodel import boundary_of_basis, signed_splits
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hgpoly" / "corpus"
@@ -62,6 +62,14 @@ def test_hg_poset_over_capacity_reports_counts(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"capped": True, "by_rank": [5, 5, 1], "total": 11}
+
+
+def test_hg_poset_negative_max_faces_exits_one(capsys):
+    code, out, err = run(
+        capsys, "hg", "poset", path("hg_pentagon.json"), "--max-faces", "-1"
+    )
+    assert code == 1 and out == ""
+    assert "--max-faces" in err
 
 
 def test_hg_diamond(capsys):
@@ -683,6 +691,15 @@ def test_model_homology_verifies_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "model", "homology", path("graph_line4.json"))
     assert code == 0
     assert counts == {"verify_complex": 1, "dense": 0}
+
+
+def test_model_homology_and_check_rank_without_bareiss(capsys, monkeypatch):
+    counts = count_calls(monkeypatch, _rank, _sparse_rows, verify_complex)
+    for command in ("homology", "check"):
+        counts.update(_rank=0, _sparse_rows=0, verify_complex=0)
+        code, _, _ = run(capsys, "model", command, path("graph_line5.json"))
+        assert code == 0
+        assert counts == {"_rank": 0, "_sparse_rows": 0, "verify_complex": 1}, command
 
 
 def test_model_homology_builds_no_construct_after_enumeration(capsys, monkeypatch):

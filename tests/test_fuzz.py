@@ -8,7 +8,7 @@ import random
 
 from hgpoly.constructs import check_diamond, covers_of, enumerate_constructs, face_poset
 from hgpoly.graphs import Graph, alpha, alpha_inv, canonical_contraction, gr, graph_trees, incidence_hypergraph
-from hgpoly.homology import betti, diamond_sign_check, verify_complex
+from hgpoly.homology import betti, boundary_ranks, diamond_sign_check, verify_complex
 from hgpoly.minimodel import DEFAULT_CONVENTION, FreeComponent, boundary, boundary_of_basis, graft_chain, rho
 from hgpoly.pipeline import complex_for_graph, cover_signs
 
@@ -137,3 +137,22 @@ def test_graph_trees_is_alpha_of_each_face(graphs):
         trees = graph_trees(g, faces)
         assert trees == [alpha(g, c) for c in faces]
         assert [alpha_inv(t, g) for t in trees] == list(faces)
+
+
+def test_every_boundary_is_ranked_on_unit_pivots(graphs):
+    """Every grade of every corpus graph and of 20 seeded fuzz graphs is
+    reduced on pivots 1 and -1, so each boundary has Smith form
+    diag(1, ..., 1, 0, ...).  The acyclicity of the minimal models is thus
+    an integral statement: their integral homology is Z in grade 0 and
+    zero elsewhere, with no torsion."""
+    rng = random.Random(7707)
+    fuzzed = []
+    while len(fuzzed) < 20:
+        g = random_graph(rng)
+        if 1 <= len(g.edges) <= 5:
+            fuzzed.append(g)
+    for g in list(graphs.values()) + fuzzed:
+        complex_ = complex_for_graph(g)
+        assert {path for _, path in boundary_ranks(complex_)} <= {"unit"}
+        numbers = betti(complex_)
+        assert numbers[0] == 1 and not any(numbers[1:])

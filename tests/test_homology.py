@@ -5,9 +5,14 @@ import pytest
 
 from hgpoly.constructs import face_poset
 from hgpoly.errors import InputError, ValidationError
+from hgpoly import homology
 from hgpoly.homology import (
     ChainComplex,
+    _rank,
+    _sparse_rows,
+    _unit_pivots,
     betti,
+    boundary_ranks,
     diamond_sign_check,
     euler_poincare_check,
     exact_rank,
@@ -92,6 +97,83 @@ def test_exact_rank_matches_oracle_on_boundaries(graphs):
             # the rank `betti` took from the grade-k columns
             rank = c.dims()[k - 1] - rank - numbers[k - 1]
             assert exact_rank(mat) == rank_oracle(mat) == rank
+
+
+# -- unit-pivot reduction against the oracles ---------------------------------------
+
+
+def test_boundary_ranks_match_oracles_on_random_integer_matrices():
+    """A matrix is a one-grade complex; entries beyond +-1 reach the Bareiss
+    fallback, entries in {-1, 0, 1} mostly stay on unit pivots."""
+    rng = random.Random(8086)
+    paths = set()
+    for _ in range(120):
+        rows = rng.randint(1, 7)
+        cols = rng.randint(1, 7)
+        bound = rng.choice([1, 1, 3])
+        density = rng.choice([0.3, 0.6, 0.9])
+        mat = [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        c = ChainComplex([[f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)]], [mat])
+        [(rank, path)] = boundary_ranks(c)
+        assert rank == _rank(_sparse_rows(c.columns[0], rows)) == rank_oracle(mat), mat
+        paths.add(path)
+    assert paths == {"unit", "bareiss"}
+
+
+def test_rp2_type_complex_falls_back_in_its_top_grade():
+    """Z --2--> Z --0--> Z: rationally acyclic above grade 0, with 2-torsion."""
+    c = ChainComplex([["v"], ["e"], ["f"]], [[[0]], [[2]]])
+    assert betti(c) == (1, 0, 0)
+    assert boundary_ranks(c) == [(0, "unit"), (1, "bareiss")]
+
+
+def spy_on_clearing(monkeypatch):
+    """The `cleared` argument of each `_unit_pivots` call, in call order."""
+    seen = []
+
+    def spied(columns, cleared=frozenset()):
+        seen.append(set(cleared))
+        return _unit_pivots(columns, cleared)
+
+    monkeypatch.setattr(homology, "_unit_pivots", spied)
+    return seen
+
+
+def test_grade_below_a_fallback_runs_without_clearing(monkeypatch):
+    """d_2 = 2(e0 - e1) has no unit pivot, so d_1 reduces both its columns;
+    with d_2 = e0 - e1 the pivot row e1 clears column 1 of d_1."""
+    d_1 = [[1, 1]]
+    for top, cleared, path in (([[2], [-2]], set(), "bareiss"), ([[1], [-1]], {1}, "unit")):
+        c = ChainComplex([["v"], ["e0", "e1"], ["f"]], [d_1, top])
+        seen = spy_on_clearing(monkeypatch)
+        assert boundary_ranks(c) == [(1, "unit"), (1, path)]
+        assert seen == [set(), cleared]
+        assert [_rank(_sparse_rows(grade, n)) for grade, n in zip(c.columns, c.dims())] == [1, 1]
+        assert betti(c) == (0, 0, 0)
+
+
+def test_fraction_entries_rank_exactly():
+    c = ChainComplex([["x"], ["y"]], [[[Fraction(1, 2)]]])
+    assert betti(c) == (0, 0)
+    assert boundary_ranks(c) == [(1, "bareiss")]
+    mat = [[Fraction(1, 2), 1, 0], [Fraction(-1, 3), 0, 1], [0, 0, 0]]
+    c = ChainComplex([["a", "b", "c"], ["x", "y", "z"]], [mat])
+    assert boundary_ranks(c) == [(rank_oracle(mat), "bareiss")]
+    assert betti(c) == (1, 1)
+
+
+def test_clearing_keeps_every_rank_on_the_corpus(graphs):
+    names = [name for name, g in graphs.items() if len(g.edges) <= 5] + ["bowtie"]
+    for name in names:
+        c = complex_for_graph(graphs[name])
+        cleared = boundary_ranks(c)
+        for k, grade in enumerate(c.columns):
+            reference = _rank(_sparse_rows(grade, c.dims()[k]))
+            assert cleared[k] == (reference, "unit"), (name, k)
+            assert len(_unit_pivots(grade)) == reference, (name, k)
 
 
 # -- complexes ----------------------------------------------------------------------
