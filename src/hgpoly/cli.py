@@ -132,6 +132,8 @@ def _hg_diamond(args):
 def _hg_realize(args):
     h = _load_hypergraph(args.input)
     game = _load_game(args.game, h.vertices)
+    if args.verify_brute_force:
+        _games.require_brute_force_size(len(h))
     realization = _games.realize(h, game)
     report = realization.to_json()
     if args.verify_brute_force:
@@ -141,8 +143,8 @@ def _hg_realize(args):
             raise PropertyViolation(
                 "brute-force vertex enumeration disagrees with the realization",
                 {
-                    "realized": sorted(map(str, realization.points())),
-                    "brute_force": sorted(map(str, points)),
+                    "realized": _coordinate_strings(realization.points()),
+                    "brute_force": _coordinate_strings(points),
                 },
             )
         report["verification"] = {
@@ -151,6 +153,11 @@ def _hg_realize(args):
         }
     _emit(report)
     return 0
+
+
+def _coordinate_strings(points) -> list:
+    """Points in ascending order, each as its coordinate strings."""
+    return [[str(x) for x in p] for p in sorted(points)]
 
 
 # -- graph subcommands -------------------------------------------------------

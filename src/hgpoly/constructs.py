@@ -164,9 +164,17 @@ def rank(c: Construct, h: Hypergraph) -> int:
 def enumerate_constructs(h: Hypergraph) -> tuple:
     """All constructs, sorted by rank descending then canonical tree order."""
     require_connected(h)
-    cache: dict[int, tuple] = {}
-    out = _enumerate_on(h, h.ground_mask, cache)
+    out = _enumerate_on(h, h.ground_mask, {}, _submasks)
     return tuple(sorted(out, key=lambda c: (c.size, c.sort_key())))
+
+
+def vertex_constructs(h: Hypergraph) -> list:
+    """The rank-0 constructs (every decoration a single vertex), the
+    vertices of the polytope, in the order of `graded_constructs(h)[0]`;
+    no face of higher rank is built."""
+    require_connected(h)
+    out = _enumerate_on(h, h.ground_mask, {}, _singletons)
+    return sorted(out, key=Construct.sort_key)
 
 
 def graded_constructs(h: Hypergraph) -> list:
@@ -178,21 +186,31 @@ def graded_constructs(h: Hypergraph) -> list:
     return grades
 
 
-def _enumerate_on(h: Hypergraph, mask: int, cache: dict) -> list:
+def _enumerate_on(h: Hypergraph, mask: int, cache: dict, roots) -> list:
+    """Constructs on the connected `mask` whose root decorations, and those
+    of every subtree on its own scope, run over `roots(scope)`."""
     if mask in cache:
         return cache[mask]
     result = []
-    for x in _submasks(mask):
+    for x in roots(mask):
         rest = mask & ~x
         if rest == 0:
             result.append(Construct(x))
             continue
         comps = h.component_masks(rest)
-        options = [_enumerate_on(h, comp, cache) for comp in comps]
+        options = [_enumerate_on(h, comp, cache, roots) for comp in comps]
         for combo in _product(options):
             result.append(Construct(x, combo))
     cache[mask] = result
     return result
+
+
+def _singletons(mask: int):
+    """The one-vertex submasks of `mask`."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def _product(option_lists):

@@ -1,16 +1,19 @@
 """Cooperative games, strict convexity, and exact core realizations.
 
-Everything here is exact rational arithmetic over `fractions.Fraction`;
-floating point is banned because the power game grows like 3^n and the
+Everything here is exact rational arithmetic: a game value, a bound or a
+coordinate is a Python `int` where it is integral and a `fractions.Fraction`
+otherwise, so the builtin games and integral tables run on ints alone.
+Floating point is banned because the power game grows like 3^n and the
 verification contracts are zero-tolerance.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .constructs import Construct, graded_constructs, tubes
+from .constructs import Construct, tubes, vertex_constructs
 from .errors import CapacityError, InfeasibleError, InputError, NotConvexError
 from .hypergraph import Hypergraph, _popcount, _submasks, require_connected
 
@@ -19,7 +22,10 @@ BRUTE_FORCE_CAP = 6
 
 
 class CooperativeGame:
-    """Nonnegative coalition values on every nonempty subset; value(empty)=0."""
+    """Nonnegative coalition values on every nonempty subset; value(empty)=0.
+
+    A value is stored as an `int` when it is integral, else as a `Fraction`.
+    """
 
     __slots__ = ("ground", "values", "name")
 
@@ -32,15 +38,15 @@ class CooperativeGame:
             val = Fraction(val)
             if val < 0:
                 raise InputError("game values must be nonnegative")
-            vals[mask] = val
+            vals[mask] = val.numerator if val.denominator == 1 else val
         for mask in _submasks(full):
             if mask not in vals:
                 raise InputError("game value missing for a coalition")
         self.values = vals
 
-    def value(self, mask: int) -> Fraction:
+    def value(self, mask: int):
         if mask == 0:
-            return Fraction(0)
+            return 0
         return self.values[mask]
 
     def to_json(self) -> dict:
@@ -58,9 +64,9 @@ def builtin_game(name: str, ground) -> CooperativeGame:
     ground = tuple(ground)
     full = (1 << len(ground)) - 1
     if name == "pow3":
-        rule = lambda k: Fraction(3) ** k
+        rule = lambda k: 3 ** k
     elif name == "loday":
-        rule = lambda k: Fraction(k * (k + 1), 2)
+        rule = lambda k: k * (k + 1) // 2
     else:
         raise InputError(f"unknown builtin game {name!r}")
     values = {m: rule(_popcount(m)) for m in _submasks(full)}
@@ -71,7 +77,7 @@ def additive_game(ground) -> CooperativeGame:
     """value(I) = |I|; convex but nowhere strictly (the standard non-example)."""
     ground = tuple(ground)
     full = (1 << len(ground)) - 1
-    return CooperativeGame(ground, {m: Fraction(_popcount(m)) for m in _submasks(full)})
+    return CooperativeGame(ground, {m: _popcount(m) for m in _submasks(full)})
 
 
 def game_from_json(data, ground) -> CooperativeGame:
@@ -95,6 +101,11 @@ def game_from_json(data, ground) -> CooperativeGame:
             if lab not in pos:
                 raise InputError(f"unknown player {lab!r} in game table")
             mask |= 1 << pos[lab]
+        if isinstance(val, (bool, float)):
+            raise InputError(
+                f"game value {val!r} of {key!r} must be an integer or a string "
+                'such as "1/10"'
+            )
         try:
             values[mask] = Fraction(val)
         except (TypeError, ValueError, OverflowError):
@@ -103,21 +114,25 @@ def game_from_json(data, ground) -> CooperativeGame:
 
 
 def is_strictly_convex(g: CooperativeGame) -> bool:
-    """value(X∪Y) >= value(X)+value(Y)-value(X∩Y), strict unless nested."""
+    """value(X∪Y) >= value(X)+value(Y)-value(X∩Y), strict unless nested.
+
+    Checked on local second differences (Shapley, "Cores of convex games"):
+    v(S+i+j) - v(S+i) - v(S+j) + v(S) > 0 for every S and every pair i < j
+    outside S, in O(n^2 2^n).  For nested X, Y the two sides are equal; for
+    any other pair the gap is a sum of |X-Y|*|Y-X| local terms, so the
+    local test is equivalent to the pairwise one.
+    """
     n = len(g.ground)
     if n > CONVEXITY_CAP:
         raise CapacityError(f"convexity check capped at {CONVEXITY_CAP} players")
-    full = (1 << n) - 1
-    masks = list(_submasks(full))
-    for x in masks:
-        for y in masks:
-            lhs = g.value(x | y) + g.value(x & y)
-            rhs = g.value(x) + g.value(y)
-            if x & y == x or x & y == y:
-                if lhs < rhs:
+    v = [g.value(m) for m in range(1 << n)]
+    for s, vs in enumerate(v):
+        outside = [1 << i for i in range(n) if not s >> i & 1]
+        for a, i in enumerate(outside):
+            vi = v[s | i] - vs
+            for j in outside[a + 1 :]:
+                if v[s | i | j] - v[s | j] - vi <= 0:
                     return False
-            elif lhs <= rhs:
-                return False
     return True
 
 
@@ -133,10 +148,15 @@ class HRepresentation:
         self.equality = equality
 
     def is_feasible(self, point) -> bool:
+        """Every constraint holds at `point`; the coalition sums come from one
+        subset-sum table of 2^n additions."""
+        sums = [0]
+        for x in point:
+            sums += [s + x for s in sums]
         full_mask, total = self.equality
-        if _dot(full_mask, point) != total:
+        if sums[full_mask] != total:
             return False
-        return all(_dot(m, point) >= b for m, b in self.inequalities)
+        return all(sums[m] >= b for m, b in self.inequalities)
 
     def to_json(self, h: Hypergraph) -> dict:
         return {
@@ -150,17 +170,6 @@ class HRepresentation:
                 "value": str(self.equality[1]),
             },
         }
-
-
-def _dot(mask: int, point) -> Fraction:
-    total = Fraction(0)
-    i = 0
-    while mask:
-        if mask & 1:
-            total += point[i]
-        mask >>= 1
-        i += 1
-    return total
 
 
 def core_hrep(h: Hypergraph, g: CooperativeGame) -> HRepresentation:
@@ -223,7 +232,7 @@ def realize(h: Hypergraph, g: CooperativeGame) -> Realization:
     hrep = core_hrep(h, g)
     n = len(h)
     vertex_map = {}
-    for c in graded_constructs(h)[0]:
+    for c in vertex_constructs(h):
         coords = [None] * n
         _solve_tight(c, g, coords)
         point = tuple(coords)
@@ -251,8 +260,7 @@ def brute_force_vertices(hrep: HRepresentation) -> tuple:
     """Independent vertex oracle: solve every (n-1)-subset of inequalities
     together with the efficiency equality, keep feasible solutions."""
     n = len(hrep.ground)
-    if n > BRUTE_FORCE_CAP:
-        raise CapacityError(f"brute force capped at {BRUTE_FORCE_CAP} players")
+    require_brute_force_size(n)
     rows_all = [(m, b) for m, b in hrep.inequalities]
     eq_mask, eq_val = hrep.equality
     found = set()
@@ -264,23 +272,34 @@ def brute_force_vertices(hrep: HRepresentation) -> tuple:
     return tuple(sorted(found))
 
 
+def require_brute_force_size(n: int):
+    """Raise CapacityError if `brute_force_vertices` refuses n players."""
+    if n > BRUTE_FORCE_CAP:
+        raise CapacityError(f"brute force capped at {BRUTE_FORCE_CAP} players")
+
+
 def _solve_square(rows, n):
-    """Exact Gaussian elimination; None when singular."""
-    mat = [[Fraction(1) if mask >> j & 1 else Fraction(0) for j in range(n)] + [b]
+    """Fraction-free (Bareiss) Gauss-Jordan elimination; None when singular.
+
+    The right-hand side is scaled by the LCM of its denominators, so every
+    entry is an int and each step divides exactly by the previous pivot.
+    At the end every diagonal entry is the last pivot, the determinant up
+    to the sign of the row swaps, and x_i is row i's last entry over that
+    pivot times the scale."""
+    scale = math.lcm(*(b.denominator for _, b in rows))
+    mat = [[mask >> j & 1 for j in range(n)] + [b.numerator * (scale // b.denominator)]
            for mask, b in rows]
+    prev = 1
     for col in range(n):
-        pivot = None
-        for r in range(col, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(col, len(mat)) if mat[r][col]), None)
         if pivot is None:
             return None
         mat[col], mat[pivot] = mat[pivot], mat[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        for r in range(len(mat)):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return tuple(mat[i][n] for i in range(n))
+        top = mat[col]
+        pv = top[col]
+        for r, row in enumerate(mat):
+            if r != col:
+                f = row[col]
+                mat[r] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = pv
+    return tuple(Fraction(mat[i][n], prev * scale) for i in range(n))

@@ -111,6 +111,58 @@ def test_hg_realize_brute_force_violation_exits_two(capsys, monkeypatch):
     assert "witness" in err
 
 
+def test_hg_realize_witness_lists_coordinate_strings(capsys, monkeypatch):
+    import hgpoly.games
+
+    monkeypatch.setattr(hgpoly.games, "brute_force_vertices", lambda rep: ((1, 1),))
+    code, _, err = run(
+        capsys,
+        "hg",
+        "realize",
+        path("hg_segment.json"),
+        "--game",
+        "loday",
+        "--verify-brute-force",
+    )
+    assert code == 2
+    assert "witness: {'realized': [['1', '2'], ['2', '1']], 'brute_force': [['1', '1']]}" in err
+    assert "Fraction" not in err
+
+
+def test_hg_realize_brute_force_cap_checked_before_realizing(capsys, monkeypatch, tmp_path):
+    import hgpoly.games
+
+    def refuse(*args):
+        raise AssertionError("realize ran past the brute-force cap")
+
+    monkeypatch.setattr(hgpoly.games, "realize", refuse)
+    labels = list("abcdefg")
+    chain = [[v] for v in labels] + [list(p) for p in zip(labels, labels[1:])]
+    target = write_json(tmp_path, {"vertices": labels, "hyperedges": chain})
+    code, out, err = run(
+        capsys, "hg", "realize", target, "--game", "pow3", "--verify-brute-force"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: brute force capped at 6 players\n"
+
+
+def test_hg_realize_fractional_table_game(capsys, tmp_path):
+    game = {"type": "table", "values": {"a": "1/2", "b": "1/3", "a,b": 2}}
+    code, out, _ = run(
+        capsys,
+        "hg",
+        "realize",
+        path("hg_segment.json"),
+        "--game",
+        write_json(tmp_path, game, "game.json"),
+        "--verify-brute-force",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert [v["coordinates"] for v in data["vertices"]] == [["5/3", "1/3"], ["1/2", "3/2"]]
+    assert data["verification"] == {"brute_force_agrees": True, "num_vertices": 2}
+
+
 def test_graph_validate(capsys):
     code, out, _ = run(capsys, "graph", "validate", path("graph_multiloop.json"))
     assert code == 0
@@ -535,6 +587,35 @@ def test_non_numeric_game_value_exits_one(capsys, tmp_path):
     )
     assert code == 1
     assert "'lots'" in err
+
+
+def test_boolean_game_value_exits_one(capsys, tmp_path):
+    game = {"type": "table", "values": {"a": True, "b": 1, "a,b": 3}}
+    code, out, err = run(
+        capsys,
+        "hg",
+        "realize",
+        path("hg_segment.json"),
+        "--game",
+        write_json(tmp_path, game, "game.json"),
+    )
+    assert (code, out) == (1, "")
+    assert "True" in err and '"1/10"' in err
+
+
+def test_float_game_value_exits_one(capsys, tmp_path):
+    game = {"type": "table", "values": {"a": 0.1, "b": 1, "a,b": 3}}
+    code, out, err = run(
+        capsys,
+        "hg",
+        "realize",
+        path("hg_segment.json"),
+        "--game",
+        write_json(tmp_path, game, "game.json"),
+    )
+    assert (code, out) == (1, "")
+    assert "0.1" in err and '"1/10"' in err
+    assert "36028797018963968" not in err
 
 
 def test_string_vertex_list_exits_one(capsys, tmp_path):

@@ -18,6 +18,7 @@ from hgpoly.constructs import (
     rank,
     split,
     tubes,
+    vertex_constructs,
 )
 from hgpoly.errors import DisconnectedError, InputError, InvalidSplitError
 from hgpoly.hypergraph import Hypergraph
@@ -417,6 +418,24 @@ def test_covers_equal_one_step_collapses_on_random_hypergraphs():
     rng = random.Random(2019)
     for _ in range(16):
         assert_covers_are_one_step_collapses(random_small_hypergraph(rng))
+
+
+# -- rank-0 enumeration ------------------------------------------------------------
+
+
+def test_vertex_constructs_are_grade_zero(hypergraphs):
+    from test_fuzz import random_graph
+    from hgpoly.graphs import incidence_hypergraph
+
+    rng = random.Random(4111)
+    fuzzed = [random_small_hypergraph(rng) for _ in range(12)]
+    rng = random.Random(60902)
+    for _ in range(20):
+        g = random_graph(rng)
+        if len(g.edges) <= 5:
+            fuzzed.append(incidence_hypergraph(g))
+    for h in [*hypergraphs.values(), *fuzzed]:
+        assert vertex_constructs(h) == graded_constructs(h)[0], h
 
 
 # -- nested sets ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hgpoly.games import (
     game_from_json,
     is_strictly_convex,
     realize,
+    _solve_square,
 )
 
 from test_hypergraph import H2, H3K, H3P, hg, k5_minus
@@ -231,3 +233,143 @@ def test_realization_json():
     data = r.to_json()
     coords = {tuple(v["coordinates"]) for v in data["vertices"]}
     assert coords == {("2", "1"), ("1", "2")}
+
+
+# -- exact integer arithmetic against oracles -------------------------------------------
+
+
+def pairwise_strictly_convex(g):
+    """The O(4^n) definition: supermodular on every pair of coalitions,
+    strictly unless the pair is nested."""
+    masks = range(1, 1 << len(g.ground))
+    for x in masks:
+        for y in masks:
+            lhs = g.value(x | y) + g.value(x & y)
+            rhs = g.value(x) + g.value(y)
+            if x & y in (x, y):
+                if lhs < rhs:
+                    return False
+            elif lhs <= rhs:
+                return False
+    return True
+
+
+def random_convex_values(rng, n, fractional, dropped_pair=None):
+    """v(S) = sum of weights of the nonempty T inside S.  Every pair gets a
+    positive weight, so the game is strictly convex, unless `dropped_pair`
+    is given: then no T holding both gets weight and the game is convex
+    but not strictly."""
+    weights = {}
+    for t in range(1, 1 << n):
+        if dropped_pair is not None and t & dropped_pair == dropped_pair:
+            continue
+        w = rng.randint(1 if bin(t).count("1") == 2 else 0, 5)
+        weights[t] = Fraction(w, rng.randint(1, 6)) if fractional else w
+    return {s: sum(w for t, w in weights.items() if t & s == t) for s in range(1, 1 << n)}
+
+
+def break_one_local_inequality(rng, n, values):
+    """Lower one value until one second difference is at most 0, then add
+    a modular term so every value stays nonnegative."""
+    v = {0: 0, **values}
+    i, j = (1 << k for k in rng.sample(range(n), 2))
+    s = rng.randrange(1 << n) & ~(i | j)
+    local = v[s | i | j] - v[s | i] - v[s | j] + v[s]
+    v[s | i | j] -= local + rng.choice([0, Fraction(1, 3), 2])
+    lift = max(0, -min(v.values()))
+    return {m: v[m] + lift * bin(m).count("1") for m in range(1, 1 << n)}
+
+
+def test_local_convexity_matches_pairwise_definition():
+    rng = random.Random(7103)
+    kinds = {True: 0, False: 0}
+    for trial in range(160):
+        n = rng.randint(1, 5)
+        ground = "abcde"[:n]
+        fractional = trial % 2 == 1
+        kind = trial // 2 % 4
+        if kind == 0:
+            values = random_convex_values(rng, n, fractional)
+        elif kind == 1 and n >= 2:
+            pair = sum(1 << i for i in rng.sample(range(n), 2))
+            values = random_convex_values(rng, n, fractional, dropped_pair=pair)
+        elif kind == 2 and n >= 2:
+            values = break_one_local_inequality(
+                rng, n, random_convex_values(rng, n, fractional)
+            )
+        else:
+            values = {
+                m: Fraction(rng.randint(0, 40), rng.randint(1, 3) if fractional else 1)
+                for m in range(1, 1 << n)
+            }
+        g = CooperativeGame(ground, values)
+        expected = pairwise_strictly_convex(g)
+        assert is_strictly_convex(g) == expected, (ground, values)
+        if kind == 0:
+            assert expected
+        elif kind in (1, 2) and n >= 2:
+            assert not expected
+        kinds[expected] += 1
+    assert min(kinds.values()) >= 40
+
+
+def fraction_gauss_jordan(rows, n):
+    """Gaussian elimination over `Fraction`; None when singular."""
+    mat = [[Fraction(mask >> j & 1) for j in range(n)] + [Fraction(b)] for mask, b in rows]
+    for col in range(n):
+        pivot = next((r for r in range(col, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            return None
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        pv = mat[col][col]
+        mat[col] = [x / pv for x in mat[col]]
+        for r in range(len(mat)):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+    return tuple(mat[i][n] for i in range(n))
+
+
+def test_solve_square_matches_fraction_oracle():
+    rng = random.Random(3301)
+    outcomes = {"singular": 0, "solved": 0}
+    for trial in range(400):
+        n = rng.randint(1, 6)
+        rows = []
+        for _ in range(n):
+            b = rng.randint(-30, 30)
+            if trial % 2:
+                b = Fraction(b, rng.randint(1, 12))
+            rows.append((rng.randrange(1 << n), b))
+        expected = fraction_gauss_jordan(rows, n)
+        assert _solve_square(rows, n) == expected, rows
+        outcomes["singular" if expected is None else "solved"] += 1
+    assert min(outcomes.values()) >= 50
+
+
+def test_solve_square_worked_systems():
+    assert _solve_square([(0b11, 1), (0b11, 2)], 2) is None
+    assert _solve_square([(0b01, 1), (0b00, 0)], 2) is None
+    assert _solve_square([(0b011, 1), (0b110, 1), (0b101, Fraction(1, 2))], 3) == (
+        Fraction(1, 4),
+        Fraction(3, 4),
+        Fraction(1, 4),
+    )
+
+
+def test_pow3_realization_is_integral_without_enumerating_faces(monkeypatch):
+    from hgpoly.constructs import enumerate_constructs
+    from test_cli import count_calls
+
+    counts = count_calls(monkeypatch, enumerate_constructs)
+    for h in (H3K, STAR4, H4K, k5_minus()):
+        r = realize(h, builtin_game("pow3", h.vertices))
+        assert all(type(x) is int for p in r.points() for x in p)
+        assert all(type(b) is int for _, b in r.hrep.inequalities)
+    assert counts == {"enumerate_constructs": 0}
+
+
+def test_table_game_values_are_ints_where_integral():
+    g = game_from_json({"type": "table", "values": {"a": "2/2", "b": "1/3", "a,b": 2}}, "ab")
+    assert type(g.value(0b01)) is int and g.value(0b10) == Fraction(1, 3)
+    assert type(g.value(0)) is int
