@@ -108,7 +108,7 @@ def game_from_json(data, ground) -> CooperativeGame:
             )
         try:
             values[mask] = Fraction(val)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             raise InputError(f"game value {val!r} of {key!r} is not a number") from None
     return CooperativeGame(ground, values)
 

@@ -609,12 +609,6 @@ def graph_trees(g: Graph, constructs) -> list:
     return [trees[c] for c in constructs]
 
 
-def _translate(c: Construct, from_h: Hypergraph, to_h: Hypergraph) -> Construct:
-    """The same tree over `to_h`, decorations matched by vertex label."""
-    dec = to_h.mask_of(from_h.labels_of(c.decoration))
-    return Construct(dec, [_translate(ch, from_h, to_h) for ch in c.children])
-
-
 def alpha_inv(t: GraphTree, ambient: Graph | None = None) -> Construct:
     """Construct of the incidence hypergraph of gr(t), decorating each node
     by the ambient bits of its graph's internal edges."""

@@ -24,8 +24,7 @@ class ChainComplex:
     `columns[k-1][j]` is the boundary of basis element j of grade k: its
     nonzero entries as (row, value) pairs in increasing row order, rows
     indexing grade k-1.  Values are exact numbers (int or Fraction).  Dense
-    matrices exist only for output: the `matrices` view, `to_json` and
-    `to_triplets`.
+    matrices exist only for output: the `matrices` view and `to_json`.
 
     `ChainComplex(bases, matrices, tag)` takes dense matrices: `matrices[k-1]`
     maps grade k to grade k-1 and has shape len(bases[k-1]) x len(bases[k]);
@@ -60,7 +59,9 @@ class ChainComplex:
     @classmethod
     def from_columns(cls, bases, columns, tag=None) -> "ChainComplex":
         """Complex over the given column store, taken as is (no copy, no
-        checks); a signed pass builds its complex this way."""
+        checks).  `bases` may be any per-grade sequences: only their lengths
+        enter the ranks, so `pipeline` ranks the construct lists themselves
+        and formats labels only for a complex it prints."""
         c = cls.__new__(cls)
         c.bases = bases
         c.columns = columns
@@ -97,13 +98,12 @@ class ChainComplex:
         }
 
     def to_triplets(self) -> str:
-        """Sparse text form: one `grade row col value` line per entry."""
+        """Sparse text form: one `grade row col value` line per entry, read
+        row by row off the sparse columns."""
         lines = []
-        for k, mat in enumerate(self.matrices, start=1):
-            for i, row in enumerate(mat):
-                for j, x in enumerate(row):
-                    if x:
-                        lines.append(f"{k} {i} {j} {x}")
+        for k, grade in enumerate(self.columns, start=1):
+            for i, row in enumerate(_sparse_rows(grade, len(self.bases[k - 1]))):
+                lines.extend(f"{k} {i} {j} {x}" for j, x in row.items())
         return "\n".join(lines)
 
 

@@ -10,7 +10,10 @@ The differential works on nested sets (see `constructs`): a split of the
 node W into X | Y adds the one tube K, and the re-sort only moves Y and
 the child subtrees of W, so its sign is read off those children alone
 (`signed_splits`).  Rows are found by nested set; `boundary_of_basis`
-decodes the faces for callers that want trees.
+decodes the faces for callers that want trees.  Operadic composition
+(`graft_chain`) is a relabelling of nested sets as well: the tubes of both
+factors move to ambient edge bits, and the quotient tubes that meet the
+merged vertex absorb the fiber.
 
 Sign convention, fixed once per build and recorded in serialized output:
 splitting a node W into a parent block X and child block Y contributes
@@ -37,7 +40,7 @@ from .constructs import (
     tubes,
 )
 from .errors import CompatibilityError, InputError
-from .graphs import Graph, _translate, canonical_contraction, incidence_hypergraph
+from .graphs import Graph, canonical_contraction, incidence_hypergraph
 from .homology import dense
 from .hypergraph import Hypergraph, _popcount
 
@@ -337,18 +340,26 @@ def rho(x: FreeComponent) -> Fraction:
 
 
 def graft_chain(
-    s: FreeComponent,
-    r: FreeComponent,
-    ambient: Graph,
-    fiber_edges,
-    convention: SignConvention = DEFAULT_CONVENTION,
+    s: FreeComponent, r: FreeComponent, ambient: Graph, fiber_edges
 ) -> FreeComponent:
     """Operadic composition along the contraction of `fiber_edges` in
     `ambient`; `s` lives over the quotient and `r` over the fiber.
 
-    Basis constructs are grafted (the fiber construct becomes a new subtree
-    at the node owning the merged vertex) and the concatenated level
-    arrangement is re-sorted with Koszul signs.
+    Grafting relabels nested sets.  Each quotient and fiber edge is mapped
+    to its ambient edge bit by flag pair, and every tube of both factors is
+    lifted.  The tubes of `s` that meet the merged vertex also take the
+    fiber's ambient mask; the grafted face is the union of the lifted tubes
+    of `s` and `r`.  In tree terms, the fiber construct becomes a new
+    subtree of the deepest node whose subtree spans the merged vertex.
+
+    This is exact: two quotient edges at the merged vertex share a graph
+    vertex, so they are adjacent in the incidence hypergraph and never sit
+    in sibling subtrees.  The tubes that meet the merged vertex thus form a
+    chain from the root down to that node.  The root is always in it: the
+    ambient graph is connected, so when the quotient has edges, one of
+    them meets the merged vertex.  The concatenated level arrangement of
+    the lifted factors is re-sorted into that of the grafted face with
+    Koszul signs.
     """
     fiber_edges = tuple(fiber_edges)
     if not fiber_edges:
@@ -360,74 +371,46 @@ def graft_chain(
     cc = canonical_contraction(ambient, fiber_edges)
     if r.graph != cc.fiber:
         raise CompatibilityError("right factor must live over the fiber")
+    amb_h = incidence_hypergraph(ambient)
+    fiber_bits = _ambient_bits(cc.fiber, ambient)
+    lifted_r = {d: {_lift(t, fiber_bits) for t in tubes(d)} for d in r.coeffs}
     if s.hypergraph is None:
         if s.graph.edges:
             raise CompatibilityError("scalar left factor must be a corolla")
         if cc.quotient.edges:
             raise CompatibilityError("left corolla needs an edgeless quotient")
         scalar = sum(s.coeffs.values(), Fraction(0))
-        out = FreeComponent(ambient)
-        amb_h = incidence_hypergraph(ambient)
-        for d, dv in r.coeffs.items():
-            lifted = _translate(d, r.hypergraph, amb_h)
-            out = out.plus(FreeComponent(ambient, {lifted: dv * scalar}, amb_h))
-        return out
+        return FreeComponent(
+            ambient,
+            {from_tubes(lifted_r[d]): dv * scalar for d, dv in r.coeffs.items()},
+            amb_h,
+        )
     if s.graph != cc.quotient:
         raise CompatibilityError("left factor must live over the quotient")
 
-    amb_h = incidence_hypergraph(ambient)
-    target_vertex = cc.merged_vertex
+    quotient_bits = _ambient_bits(cc.quotient, ambient)
+    fiber_mask = sum(fiber_bits)
+    merged = sum(
+        1 << i for i, e in enumerate(cc.quotient.edges) if cc.merged_vertex in e.ends
+    )
+    factors_r = {d: _graded_factors(from_tubes(t)) for d, t in lifted_r.items()}
     out_coeffs: dict = {}
     for c, cv in s.coeffs.items():
-        lifted_c = _translate_pairs(c, s.hypergraph, s.graph, ambient, amb_h)
+        lifted = {t: _lift(t, quotient_bits) for t in tubes(c)}
+        grown = {m | fiber_mask if t & merged else m for t, m in lifted.items()}
+        factors_c = _graded_factors(from_tubes(lifted.values()))
         for d, dv in r.coeffs.items():
-            lifted_d = _translate(d, r.hypergraph, amb_h)
-            path = _owner_path(lifted_c, ambient, amb_h, cc.quotient, target_vertex)
-            grafted = _attach(lifted_c, path, lifted_d)
-            arrangement = _graded_factors(lifted_c) + _graded_factors(lifted_d)
-            sign = _koszul_sort_sign(arrangement, _graded_factors(grafted))
+            grafted = from_tubes(grown | lifted_r[d])
+            sign = _koszul_sort_sign(factors_c + factors_r[d], _graded_factors(grafted))
             out_coeffs[grafted] = out_coeffs.get(grafted, Fraction(0)) + cv * dv * sign
     return FreeComponent(ambient, out_coeffs, amb_h)
 
 
-def _translate_pairs(
-    c: Construct, from_h: Hypergraph, from_g: Graph, ambient: Graph, to_h: Hypergraph
-) -> Construct:
-    """Rename quotient-edge decorations to ambient names via flag pairs."""
-    names = []
-    for name in from_h.labels_of(c.decoration):
-        pair = from_g.edge_by_name(name).flags
-        names.append(ambient.edge_by_pair(pair).name)
-    dec = to_h.mask_of(names)
-    return Construct(
-        dec,
-        [_translate_pairs(ch, from_h, from_g, ambient, to_h) for ch in c.children],
-    )
+def _ambient_bits(part: Graph, ambient: Graph) -> list:
+    """The ambient bit of each internal edge of `part`, matched by flag pair."""
+    return [1 << ambient.edges.index(ambient.edge_by_pair(e.flags)) for e in part.edges]
 
 
-def _owner_path(c, ambient: Graph, ambient_h: Hypergraph, quotient_g: Graph, target_vertex):
-    """Child-index path to the deepest node of `c` whose subtree edges span
-    `target_vertex` in the quotient graph; `c` carries ambient names."""
-    path = []
-    node = c
-    while True:
-        for i, child in enumerate(node.children):
-            span = set()
-            for name in ambient_h.labels_of(child.subtree_union):
-                pair = ambient.edge_by_name(name).flags
-                span |= quotient_g.edge_by_pair(pair).vertex_set()
-            if target_vertex in span:
-                path.append(i)
-                node = child
-                break
-        else:
-            return path
-
-
-def _attach(c: Construct, path, d: Construct) -> Construct:
-    if not path:
-        return Construct(c.decoration, c.children + (d,))
-    i = path[0]
-    children = list(c.children)
-    children[i] = _attach(children[i], path[1:], d)
-    return Construct(c.decoration, children)
+def _lift(mask: int, bits) -> int:
+    """`mask` over the edges of a part, as ambient bits."""
+    return sum(b for i, b in enumerate(bits) if mask >> i & 1)

@@ -9,50 +9,51 @@ from .homology import ChainComplex, betti, diamond_sign_check
 from .minimodel import DEFAULT_CONVENTION, SignConvention, grade_columns
 
 
-def signed_covers(
-    g: Graph, convention: SignConvention = DEFAULT_CONVENTION, name=None
-):
+def signed_covers(g: Graph, convention: SignConvention = DEFAULT_CONVENTION):
     """The signed covering relation of the construct basis of a graph.
 
-    Returns (h, grades, complex_): the incidence hypergraph, the constructs
-    grouped by grade in canonical order, and their chain complex, whose
-    `columns[k - 1]` hold the boundary of each construct of grade k as (row,
-    sign) pairs indexing grade k - 1.  The constructs are enumerated once
-    and `signed_splits` runs once per construct of positive grade."""
+    Returns (h, grades, columns): the incidence hypergraph, the constructs
+    grouped by grade in canonical order, and the boundary columns, where
+    `columns[k - 1]` holds the boundary of each construct of grade k as
+    (row, sign) pairs indexing grade k - 1.  The constructs are enumerated
+    once and `signed_splits` runs once per construct of positive grade; no
+    basis label is formatted."""
     h = incidence_hypergraph(g)
     grades = graded_constructs(h)
-    bases = [[format_construct(c, h) for c in grade] for grade in grades]
     columns = [
         grade_columns(h, grades[k - 1], grades[k], convention)
         for k in range(1, len(grades))
     ]
-    tag = {"sign_convention": convention.name}
-    if name:
-        tag["graph"] = name
-    return h, grades, ChainComplex.from_columns(bases, columns, tag)
+    return h, grades, columns
 
 
 def complex_for_graph(
     g: Graph, convention: SignConvention = DEFAULT_CONVENTION, name=None
 ) -> ChainComplex:
-    """Chain complex of the construct basis of a graph, canonical order."""
-    return signed_covers(g, convention, name)[2]
+    """Chain complex of the construct basis of a graph, canonical order,
+    with formatted basis labels and a tag naming the sign convention."""
+    h, grades, columns = signed_covers(g, convention)
+    bases = [[format_construct(c, h) for c in grade] for grade in grades]
+    tag = {"sign_convention": convention.name}
+    if name:
+        tag["graph"] = name
+    return ChainComplex.from_columns(bases, columns, tag)
 
 
-def _betti_or_none(complex_):
+def _betti_or_none(grades, columns):
     """Betti numbers, or None when d^2 != 0 (`betti` verifies first)."""
     try:
-        return list(betti(complex_))
+        return list(betti(ChainComplex.from_columns(grades, columns)))
     except InputError:
         return None
 
 
 def homology_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
-    complex_ = complex_for_graph(g, convention, name)
-    numbers = _betti_or_none(complex_)
+    _, grades, columns = signed_covers(g, convention)
+    numbers = _betti_or_none(grades, columns)
     report = {
         "betti": numbers,
-        "f_vector": list(complex_.f_vector()),
+        "f_vector": [len(grade) for grade in grades],
         "d_squared_zero": numbers is not None,
     }
     if name:
@@ -63,10 +64,10 @@ def homology_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
 def _poset_and_signs(signed):
     """The face poset of the signed basis, and the sign of each boundary
     term keyed by the (lower, upper) face indices of the poset."""
-    h, grades, complex_ = signed
+    h, grades, columns = signed
     poset = FacePoset(h, grades)
     signs = {}
-    for k, grade in enumerate(complex_.columns, start=1):
+    for k, grade in enumerate(columns, start=1):
         low = poset.index(grades[k - 1][0])
         high = poset.index(grades[k][0])
         for j, column in enumerate(grade):
@@ -88,9 +89,8 @@ def check_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
     (grade-1 column sums vanish) and the `alpha` round trip.  Raises
     PropertyViolation with a witness on the first statement that fails."""
     signed = signed_covers(g, convention)
-    h, grades, complex_ = signed
-    columns = complex_.columns
-    numbers = _betti_or_none(complex_)
+    h, grades, columns = signed
+    numbers = _betti_or_none(grades, columns)
     if numbers is None:
         raise PropertyViolation("d^2 != 0", {"graph": name})
 

@@ -9,6 +9,7 @@ from .errors import InputError, ValidationError
 from .graphs import CanonicalContraction, Graph, canonical_contraction, incidence_hypergraph
 from .hypergraph import _submasks
 from .minimodel import DEFAULT_CONVENTION, SignConvention
+from .pipeline import complex_for_graph
 
 
 class GenusGrading:
@@ -212,8 +213,6 @@ def restrict_model(
     """Complex of the underlying graph, unchanged, tagged with the
     subcategory; restriction along the forgetful map is the identity on
     matrices."""
-    from .pipeline import complex_for_graph
-
     if not check_subcategory(g, subcategory, grading, orientation):
         raise ValidationError(f"graph is not in subcategory {subcategory}")
     complex_ = complex_for_graph(g, convention)

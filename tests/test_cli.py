@@ -5,7 +5,13 @@ from pathlib import Path
 
 from hgpoly.cli import main
 from hgpoly import constructs
-from hgpoly.constructs import Construct, covers_of, enumerate_constructs, node_splits
+from hgpoly.constructs import (
+    Construct,
+    covers_of,
+    enumerate_constructs,
+    format_construct,
+    node_splits,
+)
 from hgpoly.corpus import corpus_raw
 from hgpoly.graphs import Graph, canonical_contraction, incidence_hypergraph
 from hgpoly.homology import _rank, _sparse_rows, dense, verify_complex
@@ -618,6 +624,21 @@ def test_float_game_value_exits_one(capsys, tmp_path):
     assert "36028797018963968" not in err
 
 
+def test_zero_denominator_game_value_exits_one(capsys, tmp_path):
+    game = {"type": "table", "values": {"a": 1, "b": 1, "a,b": "1/0"}}
+    code, out, err = run(
+        capsys,
+        "hg",
+        "realize",
+        path("hg_segment.json"),
+        "--game",
+        write_json(tmp_path, game, "game.json"),
+    )
+    assert (code, out) == (1, "")
+    assert "'1/0'" in err and "is not a number" in err
+    assert "Traceback" not in err
+
+
 def test_string_vertex_list_exits_one(capsys, tmp_path):
     hyper = {"vertices": "ab", "hyperedges": [["a"], ["b"], ["a", "b"]]}
     code, _, err = run(capsys, "hg", "check", write_json(tmp_path, hyper))
@@ -772,6 +793,24 @@ def test_model_homology_verifies_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "model", "homology", path("graph_line4.json"))
     assert code == 0
     assert counts == {"verify_complex": 1, "dense": 0}
+
+
+def test_labels_and_dense_matrices_only_where_printed(capsys, monkeypatch):
+    counts = count_calls(monkeypatch, format_construct, dense)
+    for command in ("homology", "check"):
+        code, _, _ = run(capsys, "model", command, path("graph_line5.json"))
+        assert code == 0
+        assert counts == {"format_construct": 0, "dense": 0}, command
+    code, _, _ = run(
+        capsys, "model", "boundary", path("graph_line5.json"), "--format", "triplet"
+    )
+    assert code == 0
+    assert counts["dense"] == 0
+    code, out, _ = run(capsys, "model", "boundary", path("graph_line5.json"))
+    assert code == 0
+    h = incidence_hypergraph(Graph.from_json(corpus_raw("graph", "line5")))
+    labels = [label for grade in json.loads(out)["grades"] for label in grade["basis"]]
+    assert sorted(labels) == sorted(format_construct(c, h) for c in enumerate_constructs(h))
 
 
 def test_model_homology_and_check_rank_without_bareiss(capsys, monkeypatch):

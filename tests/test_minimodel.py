@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,12 +9,13 @@ from hgpoly.constructs import (
     Construct,
     covers_of,
     enumerate_constructs,
+    format_construct,
     from_tubes,
     node_splits,
     tubes,
 )
 from hgpoly.errors import CompatibilityError, InputError
-from hgpoly.graphs import canonical_contraction, incidence_hypergraph
+from hgpoly.graphs import _edges_connected, canonical_contraction, incidence_hypergraph
 from hgpoly.hypergraph import Hypergraph
 from hgpoly.minimodel import (
     DEFAULT_CONVENTION,
@@ -410,3 +412,46 @@ def test_local_signs_match_resort_when_moved_children_pass_kept_ones():
     c = Construct(h.mask_of(["p0", "p3"]), [kept, moved])
     assert c in enumerate_constructs(h)
     assert_local_signs_match_resort(h)
+
+
+# -- grafting pinned byte for byte ---------------------------------------------
+
+# sha256 of `graft_lines` over the corpus graphs with at most 5 internal edges,
+# recorded before grafting moved to nested sets.  The Leibniz tests are linear
+# in the graft, so they would miss a sign error shared by every term.
+GRAFT_DIGEST = "cd39a729f27ef3cadb2180fc2780c97d7409671f1f5651ac0e720f61fd36a84f"
+
+
+def labelled_basis(g):
+    """(label, basis element) pairs over `g`; the unit over a corolla."""
+    if not g.edges:
+        return [("unit", FreeComponent.unit(g, 1))]
+    h = incidence_hypergraph(g)
+    return [(format_construct(c, h), FreeComponent.basis(g, c)) for c in enumerate_constructs(h)]
+
+
+def graft_lines(graphs):
+    """One line per graft: every basis pair over every connected fiber edge
+    set, the full one included (the unit over the edgeless quotient)."""
+    lines = []
+    for name, g in graphs.items():
+        if len(g.edges) > 5:
+            continue
+        amb_h = incidence_hypergraph(g)
+        for k in range(1, len(g.edges) + 1):
+            for fiber in itertools.combinations(g.edge_names(), k):
+                if not _edges_connected([g.edge_by_name(n) for n in fiber]):
+                    continue
+                cc = canonical_contraction(g, fiber)
+                pairs = itertools.product(labelled_basis(cc.quotient), labelled_basis(cc.fiber))
+                for (left, s), (right, r) in pairs:
+                    out = graft_chain(s, r, g, fiber).items_sorted()
+                    terms = " ".join(f"{v}*{format_construct(c, amb_h)}" for c, v in out)
+                    lines.append(f"{name} {','.join(fiber)} {left} {right}: {terms}")
+    return lines
+
+
+def test_graft_outputs_match_recorded_digest(graphs):
+    lines = graft_lines(graphs)
+    assert len(lines) == 3419
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GRAFT_DIGEST
