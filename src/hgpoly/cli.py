@@ -8,6 +8,7 @@ fails on the instance (witness on stderr), 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -87,7 +88,10 @@ def _hg_check(args):
 
 def _hg_constructs(args):
     h = _load_hypergraph(args.input)
-    grades = _constructs.graded_constructs(h)
+    if args.rank == 0:
+        grades = [_constructs.vertex_constructs(h)]
+    else:
+        grades = _constructs.graded_constructs(h)
     if args.rank is not None:
         grades = [grade if k == args.rank else [] for k, grade in enumerate(grades)]
     items = [c for grade in reversed(grades) for c in grade]
@@ -211,16 +215,10 @@ def _model_boundary(args):
     convention = _convention(args)
     complex_ = complex_for_graph(g, convention, name=Path(args.input).stem)
     if args.format == "triplet":
-        sys.stdout.write(complex_.to_triplets())
+        sys.stdout.write(complex_.to_triplets(args.rank))
         sys.stdout.write("\n")
         return 0
-    data = complex_.to_json()
-    if args.rank is not None:
-        key = str(args.rank)
-        if key not in data["matrices"]:
-            raise InputError(f"no boundary in degree {args.rank}")
-        data["matrices"] = {key: data["matrices"][key]}
-    _emit(data)
+    _emit(complex_.to_json(args.rank))
     return 0
 
 
@@ -327,10 +325,16 @@ def parser_group(top, name):
     return group
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of `main`, built once per process; it holds no state
+    between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:

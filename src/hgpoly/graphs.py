@@ -321,31 +321,38 @@ def canonical_contraction(g: Graph, edge_names, vertex_subset=None) -> Canonical
     """Contract the connected subgraph spanned by `edge_names` into its
     minimal vertex, reordering the surviving flags lexicographically."""
     fiber = subgraph_from_edges(g, edge_names)
-    V = fiber.vertices
-    if vertex_subset is not None and tuple(vertex_subset) != V:
+    if vertex_subset is not None and tuple(vertex_subset) != fiber.vertices:
         raise InputError("vertex subset must be the span of the edge set")
-    vmin = V[0]
-    vset = set(V)
-    contracted = {f for e in fiber.edges for f in e.flags}
+    morphism = contract_fibers(g, [fiber])
+    return CanonicalContraction(g, morphism.target, fiber, morphism)
 
-    new_vertices = [v for v in g.vertices if v not in vset or v == vmin]
-    new_flags = []
-    for v in new_vertices:
-        if v == vmin:
-            merged = [
-                f
-                for f in g.flag_list
-                if g.vertex_of_flag(f) in vset and f not in contracted
-            ]
-            new_flags.append(merged)
-        else:
-            new_flags.append(list(g.flags_at(v)))
+
+def contract_fibers(g: Graph, fibers) -> GraphMorphism:
+    """The validated map contracting vertex-disjoint connected subgraphs
+    of `g`, each into its minimal vertex, in one step; its target is the
+    quotient.
+
+    `fibers` are subgraphs of `g` as `subgraph_from_edges` builds them.
+    Each merged vertex keeps the surviving flags of its fiber in the global
+    flag order, so the quotient equals contracting the fibers in turn with
+    `canonical_contraction`, and one quotient `Graph` is built."""
+    merged_into = {}
+    contracted = set()
+    for fiber in fibers:
+        for v in fiber.vertices:
+            if v in merged_into:
+                raise InputError("fibers must be vertex-disjoint")
+            merged_into[v] = fiber.vertices[0]
+        contracted.update(f for e in fiber.edges for f in e.flags)
+    vertex_map = {v: merged_into.get(v, v) for v in g.vertices}
+    flags = {v: [] for v in g.vertices if vertex_map[v] == v}
+    for f in g.flag_list:
+        if f not in contracted:
+            flags[vertex_map[g.vertex_of_flag(f)]].append(f)
     involution = {f: s for f, s in g.involution.items() if f not in contracted}
-    quotient = Graph(new_vertices, new_flags, involution, g.legs)
-    vertex_map = {v: (vmin if v in vset else v) for v in g.vertices}
+    quotient = Graph(tuple(flags), tuple(flags.values()), involution, g.legs)
     flag_map = {f: f for f in quotient.flag_list}
-    morphism = GraphMorphism(g, quotient, vertex_map, flag_map).validate()
-    return CanonicalContraction(g, quotient, fiber, morphism)
+    return GraphMorphism(g, quotient, vertex_map, flag_map).validate()
 
 
 def factor_pre_elementary(tau: GraphMorphism):
@@ -575,9 +582,10 @@ def alpha(g: Graph, c: Construct) -> GraphTree:
 def graph_trees(g: Graph, constructs) -> list:
     """`alpha` of each construct in the list; bit i of a decoration is
     `g.edges[i]`.  A node's graph is the fiber of its subtree union with its
-    children's fibers contracted in turn, so one call builds each fiber once
-    per edge mask, each node graph once per (subtree union, child unions)
-    and each `GraphTree` once per distinct subtree."""
+    children's fibers contracted in one step (`contract_fibers`), so one
+    call builds each fiber once per edge mask, each node graph once per
+    (subtree union, child unions) and each `GraphTree` once per distinct
+    subtree.  A node without children keeps its fiber as its graph."""
     full = (1 << len(g.edges)) - 1
     fibers = {full: g}
     node_graphs = {}
@@ -599,11 +607,7 @@ def graph_trees(g: Graph, constructs) -> list:
             kids = [fiber(ch.subtree_union) for ch in node.children]
             key = (node.subtree_union, tuple(ch.subtree_union for ch in node.children))
             if key not in node_graphs:
-                quotient = sub
-                for kid in kids:
-                    names = [quotient.edge_by_pair(e.flags).name for e in kid.edges]
-                    quotient = canonical_contraction(quotient, names).quotient
-                node_graphs[key] = quotient
+                node_graphs[key] = contract_fibers(sub, kids).target if kids else sub
             children = [(kid.vertices[0], trees[ch]) for kid, ch in zip(kids, node.children)]
             trees[node] = GraphTree(node_graphs[key], children, sub.vertices)
     return [trees[c] for c in constructs]

@@ -84,7 +84,10 @@ class ChainComplex:
     def euler_characteristic(self):
         return sum((-1) ** k * d for k, d in enumerate(self.dims()))
 
-    def to_json(self) -> dict:
+    def to_json(self, degree=None) -> dict:
+        """Every basis and the dense boundary of each positive grade, or only
+        that of grade `degree` when given; only printed grades are made
+        dense."""
         return {
             "tag": self.tag,
             "grades": [
@@ -92,19 +95,33 @@ class ChainComplex:
                 for k, b in enumerate(self.bases)
             ],
             "matrices": {
-                str(k): [[str(x) for x in row] for row in mat]
-                for k, mat in enumerate(self.matrices, start=1)
+                str(k): [
+                    [str(x) for x in row]
+                    for row in dense(self.columns[k - 1], len(self.bases[k - 1]))
+                ]
+                for k in self._degrees(degree)
             },
         }
 
-    def to_triplets(self) -> str:
+    def to_triplets(self, degree=None) -> str:
         """Sparse text form: one `grade row col value` line per entry, read
-        row by row off the sparse columns."""
+        row by row off the sparse columns; only grade `degree` when given."""
         lines = []
-        for k, grade in enumerate(self.columns, start=1):
-            for i, row in enumerate(_sparse_rows(grade, len(self.bases[k - 1]))):
+        for k in self._degrees(degree):
+            rows = _sparse_rows(self.columns[k - 1], len(self.bases[k - 1]))
+            for i, row in enumerate(rows):
                 lines.extend(f"{k} {i} {j} {x}" for j, x in row.items())
         return "\n".join(lines)
+
+    def _degrees(self, degree) -> range:
+        """The grades with a boundary, or just `degree`; InputError when
+        grade `degree` has none."""
+        every = range(1, len(self.columns) + 1)
+        if degree is None:
+            return every
+        if degree not in every:
+            raise InputError(f"no boundary in degree {degree}")
+        return range(degree, degree + 1)
 
 
 def dense(columns, num_rows: int) -> list:

@@ -9,11 +9,16 @@ re-sorts with Koszul signs.
 The differential works on nested sets (see `constructs`): a split of the
 node W into X | Y adds the one tube K, and the re-sort only moves Y and
 the child subtrees of W, so its sign is read off those children alone
-(`signed_splits`).  Rows are found by nested set; `boundary_of_basis`
-decodes the faces for callers that want trees.  Operadic composition
-(`graft_chain`) is a relabelling of nested sets as well: the tubes of both
-factors move to ambient edge bits, and the quotient tubes that meet the
-merged vertex absorb the fiber.
+(`signed_splits`).  The complex itself is read off collapses
+(`collapse_columns`): a face lies in the boundary of each face its nested
+set loses one non-root tube to, and the sign of that term is read off the
+lower face, so no split is tried.  The split route (`signed_splits`,
+`grade_columns`, `boundary_matrix`) stays as the oracle and as the
+independent side of `model check`.  Rows are found by nested set;
+`boundary_of_basis` decodes the faces for callers that want trees.
+Operadic composition (`graft_chain`) is a relabelling of nested sets as
+well: the tubes of both factors move to ambient edge bits, and the quotient
+tubes that meet the merged vertex absorb the fiber.
 
 Sign convention, fixed once per build and recorded in serialized output:
 splitting a node W into a parent block X and child block Y contributes
@@ -322,6 +327,78 @@ def grade_columns(h: Hypergraph, rows, cols, convention: SignConvention) -> list
         sorted((row_index[nested], sign) for nested, sign in signed_splits(h, c, convention))
         for c in cols
     ]
+
+
+def collapse_columns(grades, convention: SignConvention) -> list:
+    """Boundary columns of every positive grade, read off collapses.
+
+    `grades` lists the constructs by grade in canonical order, as
+    `graded_constructs` does; `columns[k - 1][j]` is the boundary of
+    construct j of grade k as (row, sign) pairs indexing grade k - 1, in
+    increasing row order.  A face F of grade k - 1 lies in the boundary of
+    exactly the faces C that its nested set loses one non-root tube to:
+    collapsing the node t into its parent P gives C, and F is the split of
+    the node W = P | t of C into X = dec(P) | Y = dec(t) that adds the
+    tube of t.  That is `signed_splits` run backwards, so the sign is read
+    off F alone: the factors before P in F's arrangement are those before
+    W in C's, and the rest of the sign is local to P (`_collapse_signs`).
+    Every term is a valid face, so no split is tried or rejected;
+    `grade_columns` stays the oracle.  Faces are looked up by their sorted
+    tuple of tubes, which holds the nested set in a fraction of a
+    frozenset's memory; each face's key is built once."""
+    columns = []
+    lower = [_sorted_tubes(c) for c in grades[0]] if grades else []
+    for k in range(1, len(grades)):
+        upper = [_sorted_tubes(c) for c in grades[k]]
+        index = {key: j for j, key in enumerate(upper)}
+        grade = [[] for _ in upper]
+        for i, (face, key) in enumerate(zip(grades[k - 1], lower)):
+            prefix = 0
+            for node in _arranged(face):
+                if node.children:
+                    for tube, sign in _collapse_signs(node, convention):
+                        sign = -sign if prefix % 2 else sign
+                        p = key.index(tube)
+                        grade[index[key[:p] + key[p + 1 :]]].append((i, sign))
+                prefix += _popcount(node.decoration) - 1
+        columns.append(grade)
+        lower = upper
+    return columns
+
+
+def _sorted_tubes(c: Construct) -> tuple:
+    """The nested set of `c` as an ascending tuple of tube masks."""
+    return tuple(sorted(node.subtree_union for node in c.nodes()))
+
+
+def _collapse_signs(parent: Construct, convention: SignConvention) -> list:
+    """(tube(t), sign) for each child t of `parent`: the sign of splitting
+    P | t into X = dec(P) | Y = dec(t), without the prefix of the factors
+    before P.  P's other children stay under X and t's children move under
+    Y; the parity is that of `signed_splits`."""
+    x = parent.decoration
+    generator = convention.generator_sign(_popcount(x))
+    kids = _child_degrees(parent)
+    out = []
+    for t, low_t, _ in kids:
+        y = t.decoration
+        moved = _child_degrees(t)
+        parity = 0
+        for _, low, deg in kids:
+            if deg and low > low_t:
+                parity += deg * (_popcount(y) - 1 + sum(d for _, l, d in moved if l > low))
+        sign = generator * _mask_shuffle_sign(x, y)
+        out.append((t.subtree_union, -sign if parity % 2 else sign))
+    return out
+
+
+def _child_degrees(node: Construct) -> list:
+    """(child, low(V), deg(V)) for each child subtree V of `node`."""
+    out = []
+    for kid in node.children:
+        union = kid.subtree_union
+        out.append((kid, union & -union, _popcount(union) - kid.size))
+    return out
 
 
 def rho(x: FreeComponent) -> Fraction:

@@ -1,4 +1,11 @@
-"""End-to-end assembly: graph -> construct basis -> signed complex -> report."""
+"""End-to-end assembly: graph -> construct basis -> signed complex -> report.
+
+`model homology` and `model boundary` read the signed differential off
+collapses (`minimodel.collapse_columns`): each face lies in the boundary of
+the faces its nested set loses one non-root tube to.  `model check` builds
+its columns from splits instead (`minimodel.grade_columns`) and compares
+their support with the collapse covers of the face poset, so the split
+route stays the independent oracle."""
 
 from __future__ import annotations
 
@@ -6,7 +13,12 @@ from .constructs import FacePoset, format_construct, graded_constructs
 from .errors import InputError, PropertyViolation
 from .graphs import Graph, alpha_inv, graph_trees, incidence_hypergraph
 from .homology import ChainComplex, betti, diamond_sign_check
-from .minimodel import DEFAULT_CONVENTION, SignConvention, grade_columns
+from .minimodel import (
+    DEFAULT_CONVENTION,
+    SignConvention,
+    collapse_columns,
+    grade_columns,
+)
 
 
 def signed_covers(g: Graph, convention: SignConvention = DEFAULT_CONVENTION):
@@ -16,8 +28,16 @@ def signed_covers(g: Graph, convention: SignConvention = DEFAULT_CONVENTION):
     grouped by grade in canonical order, and the boundary columns, where
     `columns[k - 1]` holds the boundary of each construct of grade k as
     (row, sign) pairs indexing grade k - 1.  The constructs are enumerated
-    once and `signed_splits` runs once per construct of positive grade; no
+    once and the columns are read off collapses; no split is tried and no
     basis label is formatted."""
+    h = incidence_hypergraph(g)
+    grades = graded_constructs(h)
+    return h, grades, collapse_columns(grades, convention)
+
+
+def _split_covers(g: Graph, convention: SignConvention):
+    """`signed_covers` built from splits: `signed_splits` runs once per
+    construct of positive grade.  The oracle route of `check_report`."""
     h = incidence_hypergraph(g)
     grades = graded_constructs(h)
     columns = [
@@ -87,8 +107,10 @@ def check_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
     d^2 = 0, distinct +-1 boundary terms whose support is exactly the
     one-step collapses, the diamond signs, the augmentation as a chain map
     (grade-1 column sums vanish) and the `alpha` round trip.  Raises
-    PropertyViolation with a witness on the first statement that fails."""
-    signed = signed_covers(g, convention)
+    PropertyViolation with a witness on the first statement that fails.
+    The boundary is built from splits, so the support check compares the
+    split route with the collapse covers of `FacePoset`."""
+    signed = _split_covers(g, convention)
     h, grades, columns = signed
     numbers = _betti_or_none(grades, columns)
     if numbers is None:

@@ -3,8 +3,8 @@ import json
 import sys
 from pathlib import Path
 
+from hgpoly import cli, constructs
 from hgpoly.cli import main
-from hgpoly import constructs
 from hgpoly.constructs import (
     Construct,
     covers_of,
@@ -12,8 +12,13 @@ from hgpoly.constructs import (
     format_construct,
     node_splits,
 )
-from hgpoly.corpus import corpus_raw
-from hgpoly.graphs import Graph, canonical_contraction, incidence_hypergraph
+from hgpoly.corpus import corpus_hypergraph, corpus_raw
+from hgpoly.graphs import (
+    Graph,
+    canonical_contraction,
+    contract_fibers,
+    incidence_hypergraph,
+)
 from hgpoly.homology import _rank, _sparse_rows, dense, verify_complex
 from hgpoly.minimodel import boundary_of_basis, signed_splits
 
@@ -775,17 +780,23 @@ def test_model_check_enumerates_once(capsys, monkeypatch):
 def test_model_check_builds_each_node_graph_once(capsys, monkeypatch):
     h = incidence_hypergraph(Graph.from_json(corpus_raw("graph", "line6")))
     faces = enumerate_constructs(h)
-    children = {
-        (n.subtree_union, n.decoration): len(n.children) for c in faces for n in c.nodes()
+    node_graphs = {
+        (n.subtree_union, tuple(ch.subtree_union for ch in n.children))
+        for c in faces
+        for n in c.nodes()
+        if n.children
     }
-    counts = count_calls(monkeypatch, incidence_hypergraph, canonical_contraction)
+    counts = count_calls(
+        monkeypatch, incidence_hypergraph, contract_fibers, canonical_contraction
+    )
     code, _, _ = run(capsys, "model", "check", path("graph_line6.json"))
     assert code == 0
     assert counts == {
         "incidence_hypergraph": 1,
-        "canonical_contraction": sum(children.values()),
+        "contract_fibers": len(node_graphs),
+        "canonical_contraction": 0,
     }
-    assert counts["canonical_contraction"] < len(faces)
+    assert counts["contract_fibers"] < len(faces)
 
 
 def test_model_homology_verifies_once(capsys, monkeypatch):
@@ -855,3 +866,85 @@ def test_hg_poset_and_diamond_enumerate_once_without_splits(capsys, monkeypatch)
     code, out, _ = run(capsys, "hg", "poset", path("hg_k4.json"), "--max-faces", "3")
     assert code == 0 and json.loads(out)["capped"]
     assert counts == {"enumerate_constructs": 1, "node_splits": 0}
+
+
+def test_model_homology_reads_the_differential_off_collapses(capsys, monkeypatch):
+    counts = count_calls(monkeypatch, node_splits, signed_splits)
+    for argv in (("model", "homology"), ("model", "boundary")):
+        code, _, _ = run(capsys, *argv, path("graph_line5.json"))
+        assert code == 0
+        assert counts == {"node_splits": 0, "signed_splits": 0}, argv
+    code, _, _ = run(capsys, "model", "check", path("graph_line5.json"))
+    assert code == 0
+    assert counts["signed_splits"] > 0 and counts["node_splits"] > 0
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    """A cached parser answers a usage error, a command and another
+    subcommand exactly as a fresh parser does, in that order."""
+    calls = (
+        ("model", "homology"),
+        ("model", "homology", path("graph_line4.json")),
+        ("hg", "constructs", path("hg_pentagon.json"), "--count", "--rank", "1"),
+        ("model", "boundary", path("graph_line3.json"), "--rank", "x"),
+        ("graph", "validate", path("graph_theta.json")),
+    )
+    cached = [run(capsys, *argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(capsys, *argv) for argv in calls]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [64, 0, 0, 64, 0]
+
+
+def test_hg_constructs_rank_zero_enumerates_only_the_vertices(capsys, monkeypatch):
+    counts = count_calls(
+        monkeypatch, constructs.graded_constructs, constructs.vertex_constructs
+    )
+    for name in HG_OUTPUT_SHA256:
+        h = corpus_hypergraph(name)
+        vertices = constructs.graded_constructs(h)[0]
+        listing = json.dumps([c.to_json(h) for c in vertices], sort_keys=True, indent=1)
+        count = json.dumps(
+            {"by_rank": [len(vertices)], "total": len(vertices)}, sort_keys=True, indent=1
+        )
+        counts.update(graded_constructs=0, vertex_constructs=0)
+        code, out, _ = run(
+            capsys, "hg", "constructs", path(f"hg_{name}.json"), "--rank", "0"
+        )
+        assert (code, out) == (0, listing + "\n"), name
+        code, out, _ = run(
+            capsys, "hg", "constructs", path(f"hg_{name}.json"), "--rank", "0", "--count"
+        )
+        assert (code, out) == (0, count + "\n"), name
+        assert counts == {"graded_constructs": 0, "vertex_constructs": 2}, name
+
+
+def test_model_boundary_rank_prints_one_grade_in_both_formats(capsys, monkeypatch):
+    graph = path("graph_line4.json")
+    code, out, _ = run(capsys, "model", "boundary", graph)
+    assert code == 0
+    full = json.loads(out)
+    code, out, _ = run(capsys, "model", "boundary", graph, "--format", "triplet")
+    assert code == 0
+    triplets = out.splitlines()
+    assert sorted(full["matrices"]) == ["1", "2"]
+    counts = count_calls(monkeypatch, dense)
+    for rank in ("1", "2"):
+        counts["dense"] = 0
+        code, out, _ = run(capsys, "model", "boundary", graph, "--rank", rank)
+        assert code == 0
+        assert json.loads(out) == {**full, "matrices": {rank: full["matrices"][rank]}}
+        assert counts["dense"] == 1
+        code, out, _ = run(
+            capsys, "model", "boundary", graph, "--format", "triplet", "--rank", rank
+        )
+        assert code == 0
+        assert out.splitlines() == [line for line in triplets if line.split()[0] == rank]
+    for rank in ("0", "3", "-1"):
+        for fmt in ("json", "triplet"):
+            code, out, err = run(
+                capsys, "model", "boundary", graph, "--format", fmt, "--rank", rank
+            )
+            assert (code, out) == (1, ""), (rank, fmt)
+            assert err == f"error: no boundary in degree {rank}\n"

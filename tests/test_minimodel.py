@@ -11,6 +11,7 @@ from hgpoly.constructs import (
     enumerate_constructs,
     format_construct,
     from_tubes,
+    graded_constructs,
     node_splits,
     tubes,
 )
@@ -26,7 +27,9 @@ from hgpoly.minimodel import (
     boundary,
     boundary_matrix,
     boundary_of_basis,
+    collapse_columns,
     generator_boundary,
+    grade_columns,
     graft_chain,
     rho,
     shuffle_sign,
@@ -412,6 +415,62 @@ def test_local_signs_match_resort_when_moved_children_pass_kept_ones():
     c = Construct(h.mask_of(["p0", "p3"]), [kept, moved])
     assert c in enumerate_constructs(h)
     assert_local_signs_match_resort(h)
+
+
+# -- the collapse route against the split route --------------------------------
+
+
+def assert_collapses_match_splits(h):
+    """`collapse_columns` equals `grade_columns`, term for term and in the
+    same order, under both conventions; returns the number of terms."""
+    grades = graded_constructs(h)
+    for convention in (DEFAULT_CONVENTION, ALT):
+        splits = [
+            grade_columns(h, grades[k - 1], grades[k], convention)
+            for k in range(1, len(grades))
+        ]
+        assert collapse_columns(grades, convention) == splits, (h, convention.name)
+    return sum(len(column) for grade in splits for column in grade)
+
+
+def test_collapse_signs_match_splits_on_corpus(graphs):
+    terms = 0
+    for g in graphs.values():
+        if g.edges:
+            terms += assert_collapses_match_splits(incidence_hypergraph(g))
+    assert terms > 10_000
+
+
+def test_collapse_signs_match_splits_on_fuzz_graphs():
+    from test_fuzz import random_graph
+
+    rng = random.Random(5150)
+    for _ in range(20):
+        g = random_graph(rng)
+        if g.edges and len(g.edges) <= 5:
+            assert_collapses_match_splits(incidence_hypergraph(g))
+
+
+def test_collapse_signs_match_splits_on_three_element_hyperedges():
+    from test_constructs import random_small_hypergraph
+
+    rng = random.Random(811)
+    hypergraphs = [random_small_hypergraph(rng) for _ in range(10)]
+    assert any(bin(m).count("1") == 3 for h in hypergraphs for m in h.edges)
+    for h in hypergraphs:
+        assert_collapses_match_splits(h)
+
+
+def test_collapse_signs_match_splits_when_moved_children_pass_kept_ones():
+    # The interleaved path of the re-sort test above: collapsing {0} into
+    # {3} in {3}({1,2} {0}({4,5})) must pick up both odd child degrees.
+    labels = [f"p{i}" for i in range(6)]
+    path = [["p2", "p1"], ["p1", "p3"], ["p3", "p0"], ["p0", "p4"], ["p4", "p5"]]
+    h = Hypergraph(labels, [[v] for v in labels] + path, auto_singletons=False)
+    kept, moved = Construct(h.mask_of(["p1", "p2"])), Construct(h.mask_of(["p4", "p5"]))
+    lower = Construct(h.mask_of(["p3"]), [kept, Construct(h.mask_of(["p0"]), [moved])])
+    assert lower in enumerate_constructs(h)
+    assert assert_collapses_match_splits(h) > 0
 
 
 # -- grafting pinned byte for byte ---------------------------------------------
