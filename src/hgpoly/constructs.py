@@ -8,10 +8,11 @@ of the face poset is a single edge collapse.
 
 Inside this module and `minimodel` a face is its nested set (Dosen-Petric,
 "Hypergraph polytopes"; Postnikov, "Permutohedra, associahedra, and
-beyond", section 7): the subtree union of every node, `tubes(c)`, decoded
-by `from_tubes`.  A split adds one tube, a collapse removes one non-root
-tube, and the face order is reverse containment.  `Construct` trees carry
-the basis, the output and the public API.
+beyond", section 7): the subtree union of every node, as the ascending
+tuple of tube masks `tubes(c)`, decoded by `from_tubes`.  The root's tube,
+the full mask, comes last.  A split adds one tube, a collapse removes one
+non-root tube, and the face order is reverse containment.  `Construct`
+trees carry the basis, the output and the public API.
 """
 
 from __future__ import annotations
@@ -226,9 +227,10 @@ def _product(option_lists):
 # -- nested sets --------------------------------------------------------------
 
 
-def tubes(c: Construct) -> frozenset:
-    """The nested set of `c`: the subtree union of every node."""
-    return frozenset(node.subtree_union for node in c.nodes())
+def tubes(c: Construct) -> tuple:
+    """The nested set of `c`: the subtree union of every node, as an
+    ascending tuple of masks, so the root's tube comes last."""
+    return tuple(sorted(node.subtree_union for node in c.nodes()))
 
 
 def from_tubes(nested) -> Construct:
@@ -273,7 +275,7 @@ def split(h: Hypergraph, c: Construct, node: int, x: int, y: int) -> Construct:
             f"splitting {h.labels_of(node)} into {h.labels_of(x)}|{h.labels_of(y)} "
             "does not yield a construct"
         )
-    return from_tubes(tubes(c) | {tube})
+    return from_tubes(tubes(c) + (tube,))
 
 
 def node_splits(h: Hypergraph, target: Construct):
@@ -317,7 +319,7 @@ def collapse(c: Construct, child_decoration: int) -> Construct:
     The collapse removes that node's tube from the nested set."""
     for node in c.nodes():
         if node.decoration == child_decoration and node is not c:
-            return from_tubes(tubes(c) - {node.subtree_union})
+            return from_tubes(t for t in tubes(c) if t != node.subtree_union)
     raise InputError("no non-root node with the given decoration")
 
 
@@ -325,7 +327,7 @@ def covers_of(h: Hypergraph, c: Construct) -> list:
     """Constructs covered by `c`: every valid single split, each once."""
     nested = tubes(c)
     return [
-        from_tubes(nested | {tube})
+        from_tubes(nested + (tube,))
         for node in c.nodes()
         if _popcount(node.decoration) >= 2
         for _, _, tube in node_splits(h, node)
@@ -343,7 +345,9 @@ class FacePoset:
     index n and rank -1.  Faces are keyed by their nested sets and ordered
     by reverse containment: a face lies under each face its nested set
     loses one non-root tube to (a collapse), and the bottom lies under
-    every rank-0 face.  Sorted `(lower, upper)` index pairs.
+    every rank-0 face.  Each face's sorted upper covers are stored once;
+    the lower covers are their transpose, and `covers` lists the sorted
+    `(lower, upper)` index pairs.
     """
 
     def __init__(self, h: Hypergraph, grades):
@@ -353,17 +357,19 @@ class FacePoset:
         self._tubes = [tubes(c) for c in self.faces]
         self._index = {nested: i for i, nested in enumerate(self._tubes)}
         self._ranks = [len(h) - c.size for c in self.faces]
-        covers = [(self.bottom, i) for i, r in enumerate(self._ranks) if r == 0]
-        for i, nested in enumerate(self._tubes):
-            for tube in nested:
-                if tube != h.ground_mask:
-                    covers.append((i, self._index[nested - {tube}]))
-        self.covers = tuple(sorted(covers))
-        self._up = {i: [] for i in range(len(self.faces) + 1)}
-        self._down = {i: [] for i in range(len(self.faces) + 1)}
-        for low, high in self.covers:
-            self._up[low].append(high)
-            self._down[high].append(low)
+        self._up = [
+            sorted(self._index[key[:p] + key[p + 1 :]] for p in range(len(key) - 1))
+            for key in self._tubes
+        ]
+        self._up.append([i for i, r in enumerate(self._ranks) if r == 0])
+        self._down = [[] for _ in self._up]
+        for low, ups in enumerate(self._up):
+            for high in ups:
+                self._down[high].append(low)
+
+    @property
+    def covers(self) -> tuple:
+        return tuple((low, high) for low, ups in enumerate(self._up) for high in ups)
 
     def index(self, c: Construct) -> int:
         return self._index[tubes(c)]
@@ -391,7 +397,7 @@ class FacePoset:
         """Face i lies under face j: j's nested set is part of i's."""
         if i == self.bottom or i == j:
             return True
-        return j != self.bottom and self._tubes[j] <= self._tubes[i]
+        return j != self.bottom and set(self._tubes[j]).issubset(self._tubes[i])
 
     def f_vector(self) -> tuple:
         top = max(self._ranks, default=-1)

@@ -33,6 +33,7 @@ by a chain isomorphism only.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -263,10 +264,7 @@ def signed_splits(h: Hypergraph, c: Construct, convention: SignConvention):
     for node in _arranged(c):
         width = _popcount(node.decoration)
         if width >= 2:
-            kids = []
-            for kid in node.children:
-                union = kid.subtree_union
-                kids.append((union, union & -union, _popcount(union) - kid.size))
+            kids = [(k.subtree_union, low, deg) for k, low, deg in _child_degrees(node)]
             for x, y, tube in node_splits(h, node):
                 parity = prefix
                 low_k = tube & -tube
@@ -277,7 +275,8 @@ def signed_splits(h: Hypergraph, c: Construct, convention: SignConvention):
                 sign = -1 if parity % 2 else 1
                 sign *= convention.generator_sign(_popcount(x))
                 sign *= _mask_shuffle_sign(x, y)
-                out.append((nested | {tube}, sign))
+                p = bisect(nested, tube)
+                out.append((nested[:p] + (tube,) + nested[p:], sign))
         prefix += width - 1
     return out
 
@@ -343,13 +342,12 @@ def collapse_columns(grades, convention: SignConvention) -> list:
     off F alone: the factors before P in F's arrangement are those before
     W in C's, and the rest of the sign is local to P (`_collapse_signs`).
     Every term is a valid face, so no split is tried or rejected;
-    `grade_columns` stays the oracle.  Faces are looked up by their sorted
-    tuple of tubes, which holds the nested set in a fraction of a
-    frozenset's memory; each face's key is built once."""
+    `grade_columns` stays the oracle.  Faces are looked up by their nested
+    sets, each built once."""
     columns = []
-    lower = [_sorted_tubes(c) for c in grades[0]] if grades else []
+    lower = [tubes(c) for c in grades[0]] if grades else []
     for k in range(1, len(grades)):
-        upper = [_sorted_tubes(c) for c in grades[k]]
+        upper = [tubes(c) for c in grades[k]]
         index = {key: j for j, key in enumerate(upper)}
         grade = [[] for _ in upper]
         for i, (face, key) in enumerate(zip(grades[k - 1], lower)):
@@ -364,11 +362,6 @@ def collapse_columns(grades, convention: SignConvention) -> list:
         columns.append(grade)
         lower = upper
     return columns
-
-
-def _sorted_tubes(c: Construct) -> tuple:
-    """The nested set of `c` as an ascending tuple of tube masks."""
-    return tuple(sorted(node.subtree_union for node in c.nodes()))
 
 
 def _collapse_signs(parent: Construct, convention: SignConvention) -> list:
@@ -450,7 +443,7 @@ def graft_chain(
         raise CompatibilityError("right factor must live over the fiber")
     amb_h = incidence_hypergraph(ambient)
     fiber_bits = _ambient_bits(cc.fiber, ambient)
-    lifted_r = {d: {_lift(t, fiber_bits) for t in tubes(d)} for d in r.coeffs}
+    lifted_r = {d: tuple(_lift(t, fiber_bits) for t in tubes(d)) for d in r.coeffs}
     if s.hypergraph is None:
         if s.graph.edges:
             raise CompatibilityError("scalar left factor must be a corolla")
@@ -474,10 +467,10 @@ def graft_chain(
     out_coeffs: dict = {}
     for c, cv in s.coeffs.items():
         lifted = {t: _lift(t, quotient_bits) for t in tubes(c)}
-        grown = {m | fiber_mask if t & merged else m for t, m in lifted.items()}
+        grown = tuple(m | fiber_mask if t & merged else m for t, m in lifted.items())
         factors_c = _graded_factors(from_tubes(lifted.values()))
         for d, dv in r.coeffs.items():
-            grafted = from_tubes(grown | lifted_r[d])
+            grafted = from_tubes(grown + lifted_r[d])
             sign = _koszul_sort_sign(factors_c + factors_r[d], _graded_factors(grafted))
             out_coeffs[grafted] = out_coeffs.get(grafted, Fraction(0)) + cv * dv * sign
     return FreeComponent(ambient, out_coeffs, amb_h)

@@ -108,8 +108,9 @@ def check_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
     one-step collapses, the diamond signs, the augmentation as a chain map
     (grade-1 column sums vanish) and the `alpha` round trip.  Raises
     PropertyViolation with a witness on the first statement that fails.
-    The boundary is built from splits, so the support check compares the
-    split route with the collapse covers of `FacePoset`."""
+    The boundary is built from splits, so the support check compares each
+    split column's rows with the lower covers `FacePoset` reads off
+    collapses, and names the lowest failing column of the lowest grade."""
     signed = _split_covers(g, convention)
     h, grades, columns = signed
     numbers = _betti_or_none(grades, columns)
@@ -127,16 +128,15 @@ def check_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
             raise PropertyViolation(problem, {"construct": grades[k][j].to_json(h)})
 
     poset, signs = _poset_and_signs(signed)
-    covered = {pair for pair in poset.covers if pair[0] != poset.bottom}
-    if set(signs) != covered:
-        wrong = min(
-            (high for _, high in covered ^ set(signs)),
-            key=lambda i: (poset.rank_of(i), i),
-        )
-        raise PropertyViolation(
-            "boundary support differs from the covered faces",
-            {"construct": poset.faces[wrong].to_json(h)},
-        )
+    for k, grade in enumerate(columns, start=1):
+        low = poset.index(grades[k - 1][0])
+        high = poset.index(grades[k][0])
+        for j, column in enumerate(grade):
+            if tuple(low + row for row, _ in column) != poset.lower_covers(high + j):
+                raise PropertyViolation(
+                    "boundary support differs from the covered faces",
+                    {"construct": grades[k][j].to_json(h)},
+                )
 
     ok, witness = diamond_sign_check(poset, signs)
     if not ok:

@@ -3,7 +3,9 @@ import json
 import sys
 from pathlib import Path
 
-from hgpoly import cli, constructs
+import pytest
+
+from hgpoly import cli, constructs, minimodel, pipeline
 from hgpoly.cli import main
 from hgpoly.constructs import (
     Construct,
@@ -948,3 +950,109 @@ def test_model_boundary_rank_prints_one_grade_in_both_formats(capsys, monkeypatc
             )
             assert (code, out) == (1, ""), (rank, fmt)
             assert err == f"error: no boundary in degree {rank}\n"
+
+
+# -- `model check` witnesses ---------------------------------------------------
+#
+# Each case corrupts the boundary of graph_line5 (45 faces; `signed_splits`
+# runs once per face of positive grade, grade 1 first) and pins the exact
+# stderr of the first statement that fails.  The case names the calls whose
+# results are mutated, the mutation, whether the d^2 = 0 check is stubbed to
+# pass, and the `pipeline` functions it stubs.
+
+
+def _double(terms):
+    terms[0] = (terms[0][0], 2 * terms[0][1])
+
+
+def _duplicate(terms):
+    terms.append(terms[0])
+
+
+def _drop(terms):
+    terms.pop()
+
+
+def _flip(terms):
+    terms[0] = (terms[0][0], -terms[0][1])
+
+
+def _witness(problem, face):
+    return f"property violated: {problem}\nwitness: {{'construct': {face}}}\n"
+
+
+def _leaf(*labels):
+    return {"decoration": list(labels), "children": []}
+
+
+WITNESS_CASES = {
+    "coefficient": (
+        (25,), _double, True, {},
+        _witness(
+            "boundary coefficient outside {-1,+1}",
+            {"decoration": ["a", "c", "d"], "children": [_leaf("b")]},
+        ),
+    ),
+    "duplicate": (
+        (30,), _duplicate, True, {},
+        _witness("a covered face appears twice", _leaf("a", "b", "c", "d")),
+    ),
+    "support": (
+        (22,), _drop, True, {},
+        _witness(
+            "boundary support differs from the covered faces",
+            {"decoration": ["a", "b"], "children": [_leaf("c", "d")]},
+        ),
+    ),
+    "support_lowest_column": (
+        (30, 28, 24), _drop, True, {},
+        _witness(
+            "boundary support differs from the covered faces",
+            {"decoration": ["a", "b", "d"], "children": [_leaf("c")]},
+        ),
+    ),
+    "diamond": (
+        (3,), _flip, True, {},
+        "property violated: diamond sign relation fails\nwitness: (35, 13, 14, 1)\n",
+    ),
+    "augmentation": (
+        (5,), _flip, True, {"diamond_sign_check": lambda poset, signs: (True, None)},
+        _witness(
+            "augmentation does not kill the boundary",
+            {
+                "decoration": ["a", "b"],
+                "children": [{"decoration": ["c"], "children": [_leaf("d")]}],
+            },
+        ),
+    ),
+    "roundtrip": (
+        (), None, True, {"alpha_inv": lambda t, g: None},
+        _witness("construct/graph-tree roundtrip fails", _leaf("a", "b", "c", "d")),
+    ),
+    "d_squared": (
+        (24,), _flip, False, {},
+        "property violated: d^2 != 0\nwitness: "
+        + str({"graph": path("graph_line5.json")}) + "\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+def test_model_check_failure_witnesses(capsys, monkeypatch, case):
+    targets, mutation, stub_betti, stubs, expected = WITNESS_CASES[case]
+    original = minimodel.signed_splits
+    calls = []
+
+    def mutated(*args):
+        terms = original(*args)
+        if len(calls) in targets:
+            mutation(terms)
+        calls.append(args)
+        return terms
+
+    monkeypatch.setattr(minimodel, "signed_splits", mutated)
+    if stub_betti:
+        monkeypatch.setattr(pipeline, "_betti_or_none", lambda grades, columns: [])
+    for name, stub in stubs.items():
+        monkeypatch.setattr(pipeline, name, stub)
+    assert run(capsys, "model", "check", path("graph_line5.json")) == (2, "", expected)

@@ -346,7 +346,7 @@ def resorted_boundary(h, c, convention):
     for i, (dec, deg) in enumerate(factors):
         if deg >= 1:
             for x, y, tube in node_splits(h, nodes[dec]):
-                face = from_tubes(tubes(c) | {tube})
+                face = from_tubes(tubes(c) + (tube,))
                 arrangement = (
                     factors[:i]
                     + [(x, bin(x).count("1") - 1), (y, bin(y).count("1") - 1)]
