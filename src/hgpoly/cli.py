@@ -48,6 +48,8 @@ def _load_json(path: str) -> dict:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
     except RecursionError:
         raise InputError(f"JSON in {path} is nested too deeply") from None
+    except ValueError as exc:  # e.g. an integer literal over the interpreter's digit limit
+        raise InputError(f"cannot read the JSON in {path}: {exc}") from None
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
@@ -231,7 +233,7 @@ def _model_homology(args):
 
 def _model_check(args):
     g, _ = _load_graph(args.input)
-    _emit(check_report(g, _convention(args), name=args.input))
+    _emit(check_report(g, _convention(args), name=Path(args.input).stem))
     return 0
 
 

@@ -347,25 +347,30 @@ class FacePoset:
     loses one non-root tube to (a collapse), and the bottom lies under
     every rank-0 face.  Each face's sorted upper covers are stored once;
     the lower covers are their transpose, and `covers` lists the sorted
-    `(lower, upper)` index pairs.
+    `(lower, upper)` index pairs.  `nested`, when given, lists `tubes` of
+    each face grade by grade, as the caller has already built them.
     """
 
-    def __init__(self, h: Hypergraph, grades):
+    def __init__(self, h: Hypergraph, grades, nested=None):
         self.hypergraph = h
         self.faces = tuple(c for grade in reversed(grades) for c in grade)
         self.bottom = len(self.faces)
-        self._tubes = [tubes(c) for c in self.faces]
-        self._index = {nested: i for i, nested in enumerate(self._tubes)}
+        if nested is None:
+            self._tubes = [tubes(c) for c in self.faces]
+        else:
+            self._tubes = [key for grade in reversed(nested) for key in grade]
+        self._index = {key: i for i, key in enumerate(self._tubes)}
         self._ranks = [len(h) - c.size for c in self.faces]
         self._up = [
-            sorted(self._index[key[:p] + key[p + 1 :]] for p in range(len(key) - 1))
+            tuple(sorted(self._index[key[:p] + key[p + 1 :]] for p in range(len(key) - 1)))
             for key in self._tubes
         ]
-        self._up.append([i for i, r in enumerate(self._ranks) if r == 0])
-        self._down = [[] for _ in self._up]
+        self._up.append(tuple(i for i, r in enumerate(self._ranks) if r == 0))
+        down = [[] for _ in self._up]
         for low, ups in enumerate(self._up):
             for high in ups:
-                self._down[high].append(low)
+                down[high].append(low)
+        self._down = [tuple(lows) for lows in down]
 
     @property
     def covers(self) -> tuple:
@@ -378,10 +383,10 @@ class FacePoset:
         return -1 if i == self.bottom else self._ranks[i]
 
     def upper_covers(self, i: int) -> tuple:
-        return tuple(self._up[i])
+        return self._up[i]
 
     def lower_covers(self, i: int) -> tuple:
-        return tuple(self._down[i])
+        return self._down[i]
 
     def length_two_intervals(self):
         """(i, a, b, tops) for every face i and every pair a, b of its upper

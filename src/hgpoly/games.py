@@ -19,6 +19,13 @@ from .hypergraph import Hypergraph, _popcount, _submasks, require_connected
 
 CONVEXITY_CAP = 10
 BRUTE_FORCE_CAP = 6
+# A table value may have at most VALUE_DIGITS_CAP digits and a decimal
+# exponent of magnitude at most VALUE_EXPONENT_CAP, checked before `Fraction`
+# parses it.  Its numerator and denominator then have at most 350 digits, so
+# a coordinate, a sum of at most CONVEXITY_CAP + 1 values, prints far below
+# the interpreter's 4,300-digit limit on converting an int to a string.
+VALUE_DIGITS_CAP = 200
+VALUE_EXPONENT_CAP = 150
 
 
 class CooperativeGame:
@@ -106,11 +113,31 @@ def game_from_json(data, ground) -> CooperativeGame:
                 f"game value {val!r} of {key!r} must be an integer or a string "
                 'such as "1/10"'
             )
+        _require_value_size(val, key)
         try:
             values[mask] = Fraction(val)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             raise InputError(f"game value {val!r} of {key!r} is not a number") from None
     return CooperativeGame(ground, values)
+
+
+def _require_value_size(val, key):
+    """Reject a table value over the digit or exponent cap, reading only its
+    digits, so that no huge number is ever built."""
+    if isinstance(val, int):
+        if abs(val) >= 10**VALUE_DIGITS_CAP:
+            raise InputError(f"game value of {key!r} has more than {VALUE_DIGITS_CAP} digits")
+        return
+    if not isinstance(val, str):
+        return  # `Fraction` rejects it
+    if sum(ch.isdecimal() for ch in val) > VALUE_DIGITS_CAP:
+        raise InputError(f"game value of {key!r} has more than {VALUE_DIGITS_CAP} digits")
+    _, _, exponent = val.lower().partition("e")
+    digits = "".join(ch for ch in exponent if ch.isdecimal())
+    if digits and int(digits) > VALUE_EXPONENT_CAP:
+        raise InputError(
+            f"game value {val!r} of {key!r} has an exponent beyond {VALUE_EXPONENT_CAP}"
+        )
 
 
 def is_strictly_convex(g: CooperativeGame) -> bool:

@@ -41,6 +41,7 @@ class Graph:
         "legs",
         "flag_list",
         "edges",
+        "_vertex_pos",
         "_flag_pos",
         "_flag_vertex",
         "_pair_index",
@@ -52,14 +53,15 @@ class Graph:
         self.flags = tuple(tuple(fl) for fl in flags)
         if len(self.vertices) != len(self.flags):
             raise ValidationError("one flag list per vertex is required")
-        if len(set(self.vertices)) != len(self.vertices):
+        self._vertex_pos = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._vertex_pos) != len(self.vertices):
             raise ValidationError("duplicate vertex labels")
 
         flag_list = [f for fl in self.flags for f in fl]
-        if len(set(flag_list)) != len(flag_list):
+        self._flag_pos = {f: i for i, f in enumerate(flag_list)}
+        if len(self._flag_pos) != len(flag_list):
             raise ValidationError("duplicate flag names")
         self.flag_list = tuple(flag_list)
-        self._flag_pos = {f: i for i, f in enumerate(flag_list)}
         self._flag_vertex = {
             f: v for v, fl in zip(self.vertices, self.flags) for f in fl
         }
@@ -80,20 +82,15 @@ class Graph:
             raise ValidationError("legs must be exactly the involution fixed points")
         self.legs = legs
 
-        edges = []
-        seen = set()
-        for f in flag_list:
-            g = involution[f]
-            if g == f or f in seen:
-                continue
-            seen.add(f)
-            seen.add(g)
-            a, b = sorted((f, g), key=self._flag_pos.__getitem__)
-            edges.append(
-                Edge(a, (a, b), (self._flag_vertex[a], self._flag_vertex[b]))
-            )
-        edges.sort(key=lambda e: self._flag_pos[e.name])
-        self.edges = tuple(edges)
+        # one pass in flag order: an edge is named by the flag of its pair
+        # met first, so the edges come out sorted by name position
+        pos, vertex = self._flag_pos, self._flag_vertex
+        self.edges = tuple(
+            Edge(f, (f, g), (vertex[f], vertex[g]))
+            for i, f in enumerate(flag_list)
+            for g in (involution[f],)
+            if pos[g] > i
+        )
         self._pair_index = {frozenset(e.flags): e for e in self.edges}
 
         if not self._is_realization_connected():
@@ -102,14 +99,14 @@ class Graph:
         self._key = (
             self.vertices,
             self.flags,
-            tuple(sorted((min(f, g), max(f, g)) for f, g in involution.items() if f < g and involution[f] != f)),
+            tuple(sorted((f, g) for f, g in involution.items() if f < g)),
             self.legs,
         )
 
     def _is_realization_connected(self):
-        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        links = [bit[a] | bit[b] for a, b in (e.ends for e in self.edges)]
-        return bool(bit) and _closure(links, 1) == (1 << len(bit)) - 1
+        pos = self._vertex_pos
+        links = [1 << pos[a] | 1 << pos[b] for a, b in (e.ends for e in self.edges)]
+        return bool(pos) and _closure(links, 1) == (1 << len(pos)) - 1
 
     # -- accessors ----------------------------------------------------------
 
@@ -117,7 +114,7 @@ class Graph:
         return self._flag_vertex[f]
 
     def flags_at(self, v: str) -> tuple:
-        return self.flags[self.vertices.index(v)]
+        return self.flags[self._vertex_pos[v]]
 
     def edge_by_name(self, name: str) -> Edge:
         for e in self.edges:
@@ -404,14 +401,19 @@ class GraphTree:
         self.graph = graph
         self.ground = tuple(ground)
         ground_pos = {v: i for i, v in enumerate(self.ground)}
+        vertex_pos = graph._vertex_pos
         kids = list(children)
         for key, _ in kids:
-            if key not in graph.vertices:
+            if key not in vertex_pos:
                 raise ValidationError(f"child key {key!r} is not a vertex")
-        kids.sort(key=lambda kv: self.graph.vertices.index(kv[0]))
+        kids.sort(key=lambda kv: vertex_pos[kv[0]])
         self.children = tuple(kids)
 
+        # the checks below compare ground positions, not labels
         seen = set()
+        keys = []
+        covered = set()
+        num_covered = 0
         for key, sub in self.children:
             if key in seen:
                 raise ValidationError(f"duplicate child key {key!r}")
@@ -420,33 +422,32 @@ class GraphTree:
                 raise ValidationError(
                     f"child key {key!r} must be the minimum of its leaf labels"
                 )
-            if any(v not in ground_pos for v in sub.ground):
-                raise ValidationError("child leaves outside the ground set")
-            if list(sub.ground) != sorted(sub.ground, key=ground_pos.__getitem__):
+            try:
+                leaves = [ground_pos[v] for v in sub.ground]
+            except KeyError:
+                raise ValidationError("child leaves outside the ground set") from None
+            if leaves != sorted(leaves):
                 raise ValidationError("child leaf order must be induced")
-            legs = sub.graph.legs
-            if tuple(legs) != tuple(self.graph.flags_at(key)):
+            if sub.graph.legs != graph.flags[vertex_pos[key]]:
                 raise CompatibilityError(
                     f"legs of the graph below {key!r} must match the flags above"
                 )
-        covered = [v for _, sub in self.children for v in sub.ground]
-        if len(covered) != len(set(covered)):
+            keys.append(leaves[0])
+            covered.update(leaves)
+            num_covered += len(leaves)
+        if num_covered != len(covered):
             raise ValidationError("child leaf sets must be disjoint")
-        if any(v not in ground_pos for v in self.graph.vertices):
-            raise ValidationError("decorating-graph vertex outside the ground set")
-        own_leaves = [v for v in self.ground if v not in set(covered)]
-        expected = sorted(
-            own_leaves + [key for key, _ in self.children],
-            key=ground_pos.__getitem__,
-        )
-        incoming = sorted(self.graph.vertices, key=ground_pos.__getitem__)
-        if expected != incoming or set(self.graph.vertices) != set(expected):
+        try:
+            incoming = [ground_pos[v] for v in graph.vertices]
+        except KeyError:
+            raise ValidationError("decorating-graph vertex outside the ground set") from None
+        own_leaves = [p for p in map(ground_pos.__getitem__, self.ground) if p not in covered]
+        ordered = sorted(incoming)
+        if sorted(own_leaves + keys) != ordered:
             raise ValidationError(
                 "vertices of the decorating graph must be the incoming labels"
             )
-        if list(self.graph.vertices) != sorted(
-            self.graph.vertices, key=ground_pos.__getitem__
-        ):
+        if incoming != ordered:
             raise ValidationError("decorating-graph vertex order must be induced")
 
         self._key = (
@@ -585,7 +586,10 @@ def graph_trees(g: Graph, constructs) -> list:
     children's fibers contracted in one step (`contract_fibers`), so one
     call builds each fiber once per edge mask, each node graph once per
     (subtree union, child unions) and each `GraphTree` once per distinct
-    subtree.  A node without children keeps its fiber as its graph."""
+    subtree.  A node without children keeps its fiber as its graph.  Every
+    tree is still validated in full by `GraphTree.__init__`, which compares
+    ground and vertex positions rather than searching label lists.  The
+    memo is private to the call; `alpha_invs` inverts the trees without it."""
     full = (1 << len(g.edges)) - 1
     fibers = {full: g}
     node_graphs = {}
@@ -615,15 +619,45 @@ def graph_trees(g: Graph, constructs) -> list:
 
 def alpha_inv(t: GraphTree, ambient: Graph | None = None) -> Construct:
     """Construct of the incidence hypergraph of gr(t), decorating each node
-    by the ambient bits of its graph's internal edges."""
+    by the ambient bits of its graph's internal edges; `alpha_invs` of the
+    one tree.  Without `ambient`, gr(t) is built first."""
     g = ambient if ambient is not None else gr(t)
-    bits = {e: 1 << i for i, e in enumerate(g.edges)}
-    return _alpha_inv(t, g, bits)
+    return alpha_invs([t], g)[0]
 
 
-def _alpha_inv(t: GraphTree, g: Graph, bits) -> Construct:
-    dec = sum(bits[g.edge_by_pair(e.flags)] for e in t.graph.edges)
-    return Construct(dec, [_alpha_inv(sub, g, bits) for _, sub in t.children])
+def alpha_invs(trees, g: Graph) -> list:
+    """`alpha_inv(t, g)` of each tree in `trees`, in one pass.
+
+    One table maps each internal edge of `g`, by its flag pair in either
+    order, to its bit.  Each distinct `GraphTree` object is inverted once
+    and each distinct node graph is decorated once: both memos are keyed
+    by the objects themselves (by identity, which stays unique while the
+    list of trees holds them), never by a construct, so the inverse shares
+    nothing with the memo of `graph_trees` and stays an independent check
+    of it."""
+    trees = list(trees)
+    table = {}
+    for i, e in enumerate(g.edges):
+        a, b = e.flags
+        table[a, b] = table[b, a] = 1 << i
+    inverses, decorations = {}, {}
+    return [_alpha_inv(t, table, inverses, decorations) for t in trees]
+
+
+def _alpha_inv(t: GraphTree, table, inverses, decorations) -> Construct:
+    c = inverses.get(id(t))
+    if c is None:
+        dec = decorations.get(id(t.graph))
+        if dec is None:
+            try:
+                dec = sum(table[e.flags] for e in t.graph.edges)
+            except KeyError as exc:
+                pair = sorted(exc.args[0])
+                raise InputError(f"no internal edge with flags {pair}") from None
+            decorations[id(t.graph)] = dec
+        children = [_alpha_inv(sub, table, inverses, decorations) for _, sub in t.children]
+        c = inverses[id(t)] = Construct(dec, children)
+    return c
 
 
 def enumerate_graph_trees(g: Graph) -> list:

@@ -11,6 +11,7 @@ instead; Bareiss is also the oracle the tests compare against.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
@@ -288,13 +289,26 @@ def euler_poincare_check(c: ChainComplex) -> bool:
 def diamond_sign_check(poset, signs):
     """Two-path sign cancellation over every length-2 interval.
 
-    `signs` maps covering pairs (lower_index, upper_index) of the face
-    poset to +-1; the bottom face is exempt.  Returns (ok, witness)."""
-    for low, high in poset.covers:
-        if low != poset.bottom and (low, high) not in signs:
-            raise InputError(f"missing sign on cover {(low, high)}")
+    `signs` gives the +-1 sign of each covering pair of the face poset; the
+    bottom face is exempt.  It is either a mapping keyed by the pairs
+    (lower_index, upper_index), which must name every pair, or, as
+    `model check` builds it from its columns, one sequence per face
+    `signs[upper]` aligned with `poset.lower_covers(upper)`, empty for
+    the rank-0 faces.  Returns (ok, witness)."""
+    if isinstance(signs, Mapping):
+        for low, high in poset.covers:
+            if low != poset.bottom and (low, high) not in signs:
+                raise InputError(f"missing sign on cover {(low, high)}")
+        signs = [
+            [signs[low, high] for low in poset.lower_covers(high) if low != poset.bottom]
+            for high in range(poset.bottom)
+        ]
+    down = poset.lower_covers
     for i, a, b, tops in poset.length_two_intervals():
+        via_a = signs[a][down(a).index(i)]
+        via_b = signs[b][down(b).index(i)]
         for d in tops:
-            if signs[(a, d)] * signs[(i, a)] + signs[(b, d)] * signs[(i, b)]:
+            below = down(d)
+            if signs[d][below.index(a)] * via_a + signs[d][below.index(b)] * via_b:
                 return False, (i, a, b, d)
     return True, None

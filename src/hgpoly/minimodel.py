@@ -247,8 +247,9 @@ def _graded_factors(c: Construct):
     return [(n.decoration, _popcount(n.decoration) - 1) for n in _arranged(c)]
 
 
-def signed_splits(h: Hypergraph, c: Construct, convention: SignConvention):
-    """Boundary of e_C as (nested set, sign) pairs, one per valid split.
+def signed_splits(h: Hypergraph, c: Construct, convention: SignConvention, nested=None):
+    """Boundary of e_C as (nested set, sign) pairs, one per valid split;
+    `nested` is `tubes(c)` when the caller has already built it.
 
     Splitting the node W into X | Y adds the tube K (`node_splits`), and the
     sign is local to W.  With deg(V) = |V| - (nodes of V) for a child
@@ -258,7 +259,8 @@ def signed_splits(h: Hypergraph, c: Construct, convention: SignConvention):
     deg(V) * (deg(Y) + sum of deg(U) over the children U that move under Y
     with low(U) > low(V)).  The parity of the factors before W and the
     generator sign of W -> X | Y complete it."""
-    nested = tubes(c)
+    if nested is None:
+        nested = tubes(c)
     out = []
     prefix = 0
     for node in _arranged(c):
@@ -317,14 +319,19 @@ def boundary_matrix(
     return rows, cols, dense(grade_columns(h, rows, cols, convention), len(rows))
 
 
-def grade_columns(h: Hypergraph, rows, cols, convention: SignConvention) -> list:
+def grade_columns(
+    h: Hypergraph, rows, cols, convention: SignConvention, nested=None
+) -> list:
     """Boundary of each construct of `cols` as (row, sign) pairs indexing the
     basis `rows`, in increasing row order, one `signed_splits` call per
-    column; rows are found by nested set, so no covered face is built."""
-    row_index = {tubes(c): i for i, c in enumerate(rows)}
+    column; rows are found by nested set, so no covered face is built.
+    `nested`, when given, is the pair of lists `tubes` of `rows` and of
+    `cols` that the caller has already built."""
+    row_tubes, col_tubes = nested or (map(tubes, rows), map(tubes, cols))
+    row_index = {key: i for i, key in enumerate(row_tubes)}
     return [
-        sorted((row_index[nested], sign) for nested, sign in signed_splits(h, c, convention))
-        for c in cols
+        sorted((row_index[face], sign) for face, sign in signed_splits(h, c, convention, key))
+        for c, key in zip(cols, col_tubes)
     ]
 
 

@@ -9,9 +9,11 @@ route stays the independent oracle."""
 
 from __future__ import annotations
 
-from .constructs import FacePoset, format_construct, graded_constructs
+import gc
+
+from .constructs import FacePoset, format_construct, graded_constructs, tubes
 from .errors import InputError, PropertyViolation
-from .graphs import Graph, alpha_inv, graph_trees, incidence_hypergraph
+from .graphs import Graph, alpha_invs, graph_trees, incidence_hypergraph
 from .homology import ChainComplex, betti, diamond_sign_check
 from .minimodel import (
     DEFAULT_CONVENTION,
@@ -33,18 +35,6 @@ def signed_covers(g: Graph, convention: SignConvention = DEFAULT_CONVENTION):
     h = incidence_hypergraph(g)
     grades = graded_constructs(h)
     return h, grades, collapse_columns(grades, convention)
-
-
-def _split_covers(g: Graph, convention: SignConvention):
-    """`signed_covers` built from splits: `signed_splits` runs once per
-    construct of positive grade.  The oracle route of `check_report`."""
-    h = incidence_hypergraph(g)
-    grades = graded_constructs(h)
-    columns = [
-        grade_columns(h, grades[k - 1], grades[k], convention)
-        for k in range(1, len(grades))
-    ]
-    return h, grades, columns
 
 
 def complex_for_graph(
@@ -81,10 +71,11 @@ def homology_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
     return report
 
 
-def _poset_and_signs(signed):
-    """The face poset of the signed basis, and the sign of each boundary
-    term keyed by the (lower, upper) face indices of the poset."""
-    h, grades, columns = signed
+def cover_signs(g: Graph, convention=DEFAULT_CONVENTION):
+    """Face poset of the incidence hypergraph together with the +-1 sign of
+    every construct covering pair, read off the boundary and keyed by the
+    (lower, upper) face indices of the poset."""
+    h, grades, columns = signed_covers(g, convention)
     poset = FacePoset(h, grades)
     signs = {}
     for k, grade in enumerate(columns, start=1):
@@ -96,23 +87,55 @@ def _poset_and_signs(signed):
     return poset, signs
 
 
-def cover_signs(g: Graph, convention=DEFAULT_CONVENTION):
-    """Face poset of the incidence hypergraph together with the +-1 sign of
-    every construct covering pair, read off the boundary."""
-    return _poset_and_signs(signed_covers(g, convention))
-
-
 def check_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
     """Every statement `model check` verifies, read off one signed pass:
     d^2 = 0, distinct +-1 boundary terms whose support is exactly the
     one-step collapses, the diamond signs, the augmentation as a chain map
     (grade-1 column sums vanish) and the `alpha` round trip.  Raises
-    PropertyViolation with a witness on the first statement that fails.
-    The boundary is built from splits, so the support check compares each
+    PropertyViolation with a witness on the first statement that fails;
+    within a statement the lowest failing column of the lowest grade
+    names it.
+
+    The constructs are enumerated once and each face's nested set is built
+    once, shared by `FacePoset`, the row index and `signed_splits`.  The
+    boundary is built from splits, so the support check compares each
     split column's rows with the lower covers `FacePoset` reads off
-    collapses, and names the lowest failing column of the lowest grade."""
-    signed = _split_covers(g, convention)
-    h, grades, columns = signed
+    collapses.  Once that check has passed, each column's signs are
+    aligned with its face's lower covers, so `diamond_sign_check` reads
+    them as they stand, without a walk over every covering pair.  The
+    round trip builds all graph-trees in one `graph_trees` pass and
+    inverts them in one `alpha_invs` pass whose memo is its own.  The
+    cyclic garbage collector is paused for the call, since the pass makes
+    many objects and no reference cycle."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        h = incidence_hypergraph(g)
+        grades = graded_constructs(h)
+        numbers = _check_complex(h, grades, convention, name)
+        _check_roundtrip(g, h, grades)
+    finally:
+        if collecting:
+            gc.enable()
+    return {
+        "d_squared_zero": True,
+        "support_plus_minus_one": True,
+        "diamond_signs": True,
+        "chain_map": True,
+        "alpha_roundtrip": True,
+        "betti": numbers,
+    }
+
+
+def _check_complex(h, grades, convention, name) -> list:
+    """The statements of `check_report` about the signed complex, in order;
+    returns the Betti numbers.  Its columns, poset and signs are dropped on
+    return, before the round trip builds the graph-trees."""
+    nested = [[tubes(c) for c in grade] for grade in grades]
+    columns = [
+        grade_columns(h, grades[k - 1], grades[k], convention, (nested[k - 1], nested[k]))
+        for k in range(1, len(grades))
+    ]
     numbers = _betti_or_none(grades, columns)
     if numbers is None:
         raise PropertyViolation("d^2 != 0", {"graph": name})
@@ -127,16 +150,21 @@ def check_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
                 continue
             raise PropertyViolation(problem, {"construct": grades[k][j].to_json(h)})
 
-    poset, signs = _poset_and_signs(signed)
+    poset = FacePoset(h, grades, nested)
+    # first[k]: the poset index of the first face of grade k (top grade first)
+    first = [0] * len(grades)
+    for k in range(len(grades) - 2, -1, -1):
+        first[k] = first[k + 1] + len(grades[k + 1])
+    signs = [()] * poset.bottom
     for k, grade in enumerate(columns, start=1):
-        low = poset.index(grades[k - 1][0])
-        high = poset.index(grades[k][0])
         for j, column in enumerate(grade):
-            if tuple(low + row for row, _ in column) != poset.lower_covers(high + j):
+            face = first[k] + j
+            if tuple(first[k - 1] + row for row, _ in column) != poset.lower_covers(face):
                 raise PropertyViolation(
                     "boundary support differs from the covered faces",
                     {"construct": grades[k][j].to_json(h)},
                 )
+            signs[face] = [sign for _, sign in column]
 
     ok, witness = diamond_sign_check(poset, signs)
     if not ok:
@@ -148,19 +176,14 @@ def check_report(g: Graph, convention=DEFAULT_CONVENTION, name=None) -> dict:
                 "augmentation does not kill the boundary",
                 {"construct": grades[1][j].to_json(h)},
             )
+    return numbers
 
+
+def _check_roundtrip(g: Graph, h, grades):
+    """`alpha_inv(alpha(C)) = C` for every face C, top grade first."""
     faces = [c for grade in reversed(grades) for c in grade]
-    for c, t in zip(faces, graph_trees(g, faces)):
-        if alpha_inv(t, g) != c:
+    for c, back in zip(faces, alpha_invs(graph_trees(g, faces), g)):
+        if back != c:
             raise PropertyViolation(
                 "construct/graph-tree roundtrip fails", {"construct": c.to_json(h)}
             )
-
-    return {
-        "d_squared_zero": True,
-        "support_plus_minus_one": True,
-        "diamond_signs": True,
-        "chain_map": True,
-        "alpha_roundtrip": True,
-        "betti": numbers,
-    }

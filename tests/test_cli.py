@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -724,6 +725,64 @@ def test_non_utf8_file_exits_one(capsys, tmp_path):
         assert "UTF-8" in err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this interpreter has no limit on int-string conversion",
+)
+def test_integer_literal_over_the_digit_limit_exits_one(capsys, tmp_path):
+    """`json.loads` raises a plain ValueError on an integer literal longer
+    than the interpreter's limit on int-string conversion (4,300 digits);
+    each input file reports it and exits 1."""
+    huge = "7" * 5000
+    graph = tmp_path / "graph.json"
+    graph.write_text(Path(path("graph_line3.json")).read_text().replace("{", '{"extra": ' + huge + ",", 1))
+    hyper = tmp_path / "hyper.json"
+    hyper.write_text('{"vertices": ["a", ' + huge + '], "hyperedges": [["a"]]}')
+    game = tmp_path / "game.json"
+    game.write_text('{"type": "table", "values": {"a": 1, "b": 1, "a,b": ' + huge + "}}")
+    for argv in (
+        ("model", "check", str(graph)),
+        ("hg", "check", str(hyper)),
+        ("hg", "realize", path("hg_segment.json"), "--game", str(game)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: cannot read the JSON in "), err[:200]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1e5000", "game value '1e5000' of 'a,b' has an exponent beyond 150"),
+        ("1e10000000", "game value '1e10000000' of 'a,b' has an exponent beyond 150"),
+        ("3E+151", "game value '3E+151' of 'a,b' has an exponent beyond 150"),
+        ("1.5e-151", "game value '1.5e-151' of 'a,b' has an exponent beyond 150"),
+        ("9" * 201, "game value of 'a,b' has more than 200 digits"),
+        ("1/" + "3" * 200, "game value of 'a,b' has more than 200 digits"),
+        (int("9" * 201), "game value of 'a,b' has more than 200 digits"),
+    ],
+)
+def test_game_value_over_the_size_cap_exits_one(capsys, tmp_path, value, message):
+    game = {"type": "table", "values": {"a": 1, "b": 1, "a,b": value}}
+    code, out, err = run(
+        capsys, "hg", "realize", path("hg_segment.json"), "--game", write_json(tmp_path, game)
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_game_values_at_the_size_cap_are_realized(capsys, tmp_path):
+    big = "9" * 200
+    game = {"type": "table", "values": {"a": "1e150", "b": "1/" + "7" * 199, "a,b": big}}
+    code, out, _ = run(
+        capsys, "hg", "realize", path("hg_segment.json"), "--game", write_json(tmp_path, game)
+    )
+    assert code == 0
+    points = [v["coordinates"] for v in json.loads(out)["vertices"]]
+    assert sorted(points) == sorted(
+        [["1" + "0" * 150, str(Fraction(big) - 10**150)], [str(Fraction(big) - Fraction(1, int("7" * 199))), "1/" + "7" * 199]]
+    )
+
+
 def test_deeply_nested_json_exits_one(capsys, tmp_path):
     target = tmp_path / "input.json"
     target.write_text("[" * 100_000 + "]" * 100_000)
@@ -1026,13 +1085,12 @@ WITNESS_CASES = {
         ),
     ),
     "roundtrip": (
-        (), None, True, {"alpha_inv": lambda t, g: None},
+        (), None, True, {"alpha_invs": lambda trees, g: [None] * len(trees)},
         _witness("construct/graph-tree roundtrip fails", _leaf("a", "b", "c", "d")),
     ),
     "d_squared": (
         (24,), _flip, False, {},
-        "property violated: d^2 != 0\nwitness: "
-        + str({"graph": path("graph_line5.json")}) + "\n",
+        "property violated: d^2 != 0\nwitness: {'graph': 'graph_line5'}\n",
     ),
 }
 
@@ -1055,4 +1113,19 @@ def test_model_check_failure_witnesses(capsys, monkeypatch, case):
         monkeypatch.setattr(pipeline, "_betti_or_none", lambda grades, columns: [])
     for name, stub in stubs.items():
         monkeypatch.setattr(pipeline, name, stub)
+    assert run(capsys, "model", "check", path("graph_line5.json")) == (2, "", expected)
+
+
+def test_model_check_catches_swapped_graph_trees(capsys, monkeypatch):
+    """A `graph_trees` that hands two faces each other's trees fails the
+    round trip, witnessed by the first face in poset order."""
+    original = pipeline.graph_trees
+
+    def swapped(g, faces):
+        trees = original(g, faces)
+        trees[0], trees[1] = trees[1], trees[0]
+        return trees
+
+    monkeypatch.setattr(pipeline, "graph_trees", swapped)
+    expected = _witness("construct/graph-tree roundtrip fails", _leaf("a", "b", "c", "d"))
     assert run(capsys, "model", "check", path("graph_line5.json")) == (2, "", expected)

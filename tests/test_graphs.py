@@ -67,6 +67,126 @@ def test_graph_json_roundtrip(graphs):
         assert validate_graph(g.to_json()) == g
 
 
+# Every rejection of `Graph` and `GraphTree`, in the order the constructors
+# check: the arguments, the exception type and its exact message.  The trees
+# sit over the path 1 -a- 2 -b- 3.
+_EDGE_12 = {"a": "a'", "a'": "a"}
+_EDGE_23 = {"b": "b'", "b'": "b"}
+
+
+def _path_graph():
+    return Graph(["1", "2", "3"], [["a"], ["a'", "b"], ["b'"]], _EDGE_12 | _EDGE_23, [])
+
+
+def _quotient():
+    """The path with b contracted into 2."""
+    return Graph(["1", "2"], [["a"], ["a'"]], _EDGE_12, [])
+
+
+def _fiber_23(legs=("a'",)):
+    """The fiber over b, a corolla below the vertex 2 of the quotient."""
+    flags = [[*legs, "b"], ["b'"]]
+    return GraphTree(Graph(["2", "3"], flags, _EDGE_23, legs), (), ("2", "3"))
+
+
+def _fiber_12():
+    """A child below the vertex 1 of the quotient that shares the leaf 2."""
+    return GraphTree(Graph(["1", "2"], [["a", "c"], ["c'"]], {"c": "c'", "c'": "c"}, ["a"]), (), ("1", "2"))
+
+
+GRAPH_REJECTIONS = {
+    "flag_lists": ((["1", "2"], [["a"]], {}, []), ValidationError, "one flag list per vertex is required"),
+    "duplicate_vertex": ((["1", "1"], [["a"], ["a'"]], _EDGE_12, []), ValidationError, "duplicate vertex labels"),
+    "duplicate_flag": ((["1", "2"], [["a"], ["a"]], {}, ["a"]), ValidationError, "duplicate flag names"),
+    "unknown_flag": ((["1"], [["a"]], {"a": "z"}, []), ValidationError, "involution mentions unknown flag 'a'/'z'"),
+    "not_an_involution": (
+        (["1"], [["a", "b", "c"]], {"a": "b", "b": "c", "c": "a"}, []),
+        ValidationError,
+        "involution does not square to the identity",
+    ),
+    "legs": ((["1", "2"], [["a"], ["a'"]], _EDGE_12, ["a"]), ValidationError, "legs must be exactly the involution fixed points"),
+    "disconnected": ((["1", "2"], [["a"], ["b"]], {}, ["a", "b"]), DisconnectedError, "graph realization is not connected"),
+    "empty": (([], [], {}, []), DisconnectedError, "graph realization is not connected"),
+}
+
+TREE_REJECTIONS = {
+    "key_not_a_vertex": (
+        lambda: (_quotient(), [("9", _fiber_23())], ("1", "2", "3")),
+        ValidationError,
+        "child key '9' is not a vertex",
+    ),
+    "duplicate_key": (
+        lambda: (_quotient(), [("2", _fiber_23()), ("2", _fiber_23())], ("1", "2", "3")),
+        ValidationError,
+        "duplicate child key '2'",
+    ),
+    "key_not_minimum": (
+        lambda: (_quotient(), [("1", _fiber_23())], ("1", "2", "3")),
+        ValidationError,
+        "child key '1' must be the minimum of its leaf labels",
+    ),
+    "leaves_outside_ground": (
+        lambda: (_quotient(), [("2", _fiber_23())], ("1", "2")),
+        ValidationError,
+        "child leaves outside the ground set",
+    ),
+    "leaf_order": (
+        lambda: (_quotient(), [("2", _fiber_23())], ("1", "3", "2")),
+        ValidationError,
+        "child leaf order must be induced",
+    ),
+    "legs_differ_from_flags": (
+        lambda: (_quotient(), [("2", _fiber_23(legs=("x",)))], ("1", "2", "3")),
+        CompatibilityError,
+        "legs of the graph below '2' must match the flags above",
+    ),
+    "leaf_sets_overlap": (
+        lambda: (_quotient(), [("2", _fiber_23()), ("1", _fiber_12())], ("1", "2", "3")),
+        ValidationError,
+        "child leaf sets must be disjoint",
+    ),
+    "vertex_outside_ground": (
+        lambda: (_path_graph(), (), ("1", "2")),
+        ValidationError,
+        "decorating-graph vertex outside the ground set",
+    ),
+    "vertices_not_incoming": (
+        lambda: (_path_graph(), (), ("1", "2", "3", "4")),
+        ValidationError,
+        "vertices of the decorating graph must be the incoming labels",
+    ),
+    "vertex_order": (
+        lambda: (_path_graph(), (), ("3", "2", "1")),
+        ValidationError,
+        "decorating-graph vertex order must be induced",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_REJECTIONS))
+def test_graph_rejections(case):
+    args, kind, message = GRAPH_REJECTIONS[case]
+    with pytest.raises(InputError) as info:
+        Graph(*args)
+    assert (type(info.value), str(info.value)) == (kind, message)
+
+
+@pytest.mark.parametrize("case", sorted(TREE_REJECTIONS))
+def test_graph_tree_rejections(case):
+    make, kind, message = TREE_REJECTIONS[case]
+    args = make()
+    with pytest.raises(InputError) as info:
+        GraphTree(*args)
+    assert (type(info.value), str(info.value)) == (kind, message)
+
+
+def test_rejection_fixtures_are_valid_trees():
+    """The trees the rejections perturb are themselves accepted."""
+    t = GraphTree(_quotient(), [("2", _fiber_23())], ("1", "2", "3"))
+    assert gr(t) == _path_graph()
+    assert _fiber_12().ground == ("1", "2")
+
+
 # -- incidence hypergraph ----------------------------------------------------------
 
 
